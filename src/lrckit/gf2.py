@@ -2,7 +2,8 @@
 
 Matrices are immutable wrappers over numpy uint8 arrays; all elimination is
 XOR based. Codes are given by parity-check matrices H: the code is the right
-nullspace of H, the dual code is the row space of H.
+nullspace of H, the dual code is the row space of H. Span enumeration works
+on rows packed into uint64 limbs and streams fixed-size blocks.
 """
 
 from __future__ import annotations
@@ -169,7 +170,8 @@ def nullspace_basis(matrix: BitMatrix | np.ndarray) -> BitMatrix:
     a = _as_array(matrix)
     reduced, pivots = _rref(a.copy())
     cols = a.shape[1]
-    free = [c for c in range(cols) if c not in set(pivots)]
+    pivot_set = set(pivots)
+    free = [c for c in range(cols) if c not in pivot_set]
     basis = np.zeros((len(free), cols), dtype=np.uint8)
     for bi, f in enumerate(free):
         basis[bi, f] = 1
@@ -212,10 +214,51 @@ class CodewordSet:
         return self.length == other.length and np.array_equal(self.words, other.words)
 
 
-def _message_block(start: int, count: int, dim: int) -> np.ndarray:
-    idx = np.arange(start, start + count, dtype=np.int64)
-    shifts = np.arange(dim - 1, -1, -1, dtype=np.int64)
-    return ((idx[:, None] >> shifts) & 1).astype(np.uint8)
+def _pack_rows(a: np.ndarray) -> np.ndarray:
+    """Rows of a 0/1 matrix as uint64 limbs, ceil(cols / 64) per row; column
+    j is bit j % 64 of limb j // 64."""
+    rows, cols = a.shape
+    limbs = -(-cols // 64)
+    padded = np.zeros((rows, limbs * 64), dtype=np.uint8)
+    padded[:, :cols] = a
+    packed = np.packbits(padded, axis=1, bitorder="little")
+    return packed.view("<u8").astype(np.uint64)
+
+
+def _unpack_rows(packed: np.ndarray, cols: int) -> np.ndarray:
+    """Inverse of _pack_rows: uint8 rows of length ``cols``."""
+    as_bytes = packed.astype("<u8").view(np.uint8)
+    return np.unpackbits(as_bytes, axis=1, count=cols, bitorder="little")
+
+
+def _xor_combinations(rows: np.ndarray) -> np.ndarray:
+    """All 2**len(rows) XOR combinations of packed rows, by doubling, in
+    information-vector order (first row = most significant bit)."""
+    combos = np.zeros((1, rows.shape[1]), dtype=np.uint64)
+    for row in rows[::-1]:
+        combos = np.concatenate([combos, combos ^ row])
+    return combos
+
+
+def _span_blocks(basis: np.ndarray, block_bits: int = _BLOCK_BITS) -> Iterator[np.ndarray]:
+    """Every XOR combination of the packed basis rows, in blocks of at most
+    2**block_bits rows, in information-vector order. Memory is one block
+    plus the 2**(dim - block_bits) block offsets, whatever the dimension."""
+    high = max(basis.shape[0] - block_bits, 0)
+    low = _xor_combinations(basis[high:])
+    for offset in _xor_combinations(basis[:high]):
+        yield low ^ offset
+
+
+def _codeword_blocks(
+    a: np.ndarray, max_dim: int, block_bits: int = _BLOCK_BITS
+) -> Iterator[np.ndarray]:
+    """Packed codewords of the nullspace of H, as _span_blocks yields them;
+    raises DimensionTooLarge past ``max_dim`` before enumerating anything."""
+    basis = nullspace_basis(a).array
+    if basis.shape[0] > max_dim:
+        raise DimensionTooLarge(f"code dimension {basis.shape[0]} exceeds cap {max_dim}")
+    return _span_blocks(_pack_rows(basis), block_bits)
 
 
 def iter_codeword_blocks(
@@ -226,19 +269,8 @@ def iter_codeword_blocks(
     """Yield the codewords of the nullspace of H in blocks of at most
     2**block_bits rows, in information-vector order."""
     a = _as_array(matrix)
-    basis = nullspace_basis(a).array
-    dim = basis.shape[0]
-    if dim > max_dim:
-        raise DimensionTooLarge(f"code dimension {dim} exceeds cap {max_dim}")
-    if dim == 0:
-        yield np.zeros((1, a.shape[1]), dtype=np.uint8)
-        return
-    total = 1 << dim
-    step = 1 << min(block_bits, dim)
-    for start in range(0, total, step):
-        count = min(step, total - start)
-        msgs = _message_block(start, count, dim)
-        yield (msgs @ basis) & 1
+    for block in _codeword_blocks(a, max_dim, block_bits):
+        yield _unpack_rows(block, a.shape[1])
 
 
 def enumerate_codewords(
@@ -262,20 +294,12 @@ def min_distance(
     Returns INFINITE_DISTANCE for the zero-dimensional code.
     """
     a = _as_array(matrix)
-    dim = a.shape[1] - rank(a)
-    if dim == 0:
-        return INFINITE_DISTANCE
-    best: int | None = None
-    first = True
-    for block in iter_codeword_blocks(a, max_dim=max_dim):
-        weights = block.sum(axis=1, dtype=np.int64)
-        if first:
-            weights = weights[1:]  # skip the all-zero word
-            first = False
-        if weights.size:
-            w = int(weights.min())
-            best = w if best is None else min(best, w)
-    assert best is not None
+    best: int | float = INFINITE_DISTANCE
+    for block in _codeword_blocks(a, max_dim):
+        weights = np.bitwise_count(block).sum(axis=1, dtype=np.int64)
+        nonzero = weights[weights > 0]
+        if nonzero.size:
+            best = min(best, int(nonzero.min()))
     return best
 
 

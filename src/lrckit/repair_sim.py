@@ -39,7 +39,8 @@ def systematic_encode(h: BitMatrix, message: Sequence[int]) -> np.ndarray:
     reduced parity-check matrix and fill the pivot columns to satisfy every
     check. The zero message encodes to the zero codeword."""
     reduced, pivots = rref(h)
-    free = [c for c in range(h.cols) if c not in set(pivots)]
+    pivot_set = set(pivots)
+    free = [c for c in range(h.cols) if c not in pivot_set]
     msg = np.asarray(message, dtype=np.uint8)
     if msg.ndim != 1 or msg.shape[0] != len(free):
         raise InvalidParams(f"message must have length {len(free)}")

@@ -10,13 +10,22 @@ pairwise intersections of size at most x.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
+from typing import Iterator
 
 import numpy as np
 
 from .errors import DimensionTooLarge, FamilyNotFound, InvalidParams
-from .gf2 import BitMatrix, iter_codeword_blocks, rank, recovery_parity_word, rref
+from .gf2 import (
+    BitMatrix,
+    _codeword_blocks,
+    _pack_rows,
+    _span_blocks,
+    _unpack_rows,
+    rank,
+    recovery_parity_word,
+    rref,
+)
 
 __all__ = [
     "ROWS_ONLY",
@@ -90,62 +99,56 @@ class VerificationReport:
     deep_checked: bool
 
 
-def _row_masks(h: BitMatrix) -> tuple[int, ...]:
-    out = []
-    for i in range(h.rows):
-        mask = 0
-        for j in h.row_support(i):
-            mask |= 1 << j
-        out.append(mask)
-    return tuple(out)
-
-
-@lru_cache(maxsize=32)
-def _dual_word_masks(h: BitMatrix, mode: str) -> tuple[int, ...]:
-    """Nonzero dual words of H as column bitmasks, per search mode.
+def _low_weight_words(h: BitMatrix, r: int, mode: str) -> np.ndarray:
+    """Packed nonzero dual words of weight <= r + 1, per search mode.
 
     rows-only: the rows themselves. bounded-combos: XORs of up to 3 rows.
-    dual-enum: the entire row space (requires rank <= DUAL_ENUM_RANK_CAP).
+    dual-enum: the entire row space (requires rank <= DUAL_ENUM_RANK_CAP),
+    streamed in blocks so memory does not grow with 2**rank. Words may repeat.
     """
-    masks = _row_masks(h)
-    words: set[int] = set()
     if mode == ROWS_ONLY:
-        words.update(m for m in masks if m)
+        blocks = [_pack_rows(h.array)]
     elif mode == BOUNDED_COMBOS:
-        for depth in range(1, _COMBO_DEPTH + 1):
-            for combo in combinations(masks, depth):
-                word = 0
-                for m in combo:
-                    word ^= m
-                if word:
-                    words.add(word)
+        blocks = _row_combinations(_pack_rows(h.array), _COMBO_DEPTH)
     elif mode == DUAL_ENUM:
-        r = rank(h)
-        if r > DUAL_ENUM_RANK_CAP:
-            raise DimensionTooLarge(
-                f"dual enumeration needs rank <= {DUAL_ENUM_RANK_CAP}, got {r}"
-            )
         reduced, pivots = rref(h)
-        basis = _row_masks(reduced)[: len(pivots)]
-        word = 0
-        for g in range(1, 1 << r):
-            word ^= basis[(g & -g).bit_length() - 1]
-            words.add(word)
-        words.discard(0)
+        if len(pivots) > DUAL_ENUM_RANK_CAP:
+            raise DimensionTooLarge(
+                f"dual enumeration needs rank <= {DUAL_ENUM_RANK_CAP}, got {len(pivots)}"
+            )
+        blocks = _span_blocks(_pack_rows(reduced.array[: len(pivots)]))
     else:
         raise InvalidParams(f"unknown search mode {mode!r}")
-    return tuple(sorted(words))
+    kept = []
+    for block in blocks:
+        weights = np.bitwise_count(block).sum(axis=1, dtype=np.int64)
+        kept.append(block[(weights >= 1) & (weights <= r + 1)])
+    return np.concatenate(kept)
 
 
-def _mask_to_set(mask: int) -> frozenset[int]:
-    out = []
-    j = 0
-    while mask:
-        if mask & 1:
-            out.append(j + 1)
-        mask >>= 1
-        j += 1
-    return frozenset(out)
+def _row_combinations(rows: np.ndarray, depth: int) -> Iterator[np.ndarray]:
+    """Blocks holding the XOR of every 1..depth distinct packed rows, each
+    combination once."""
+    yield rows
+    if depth > 1:
+        for first in range(rows.shape[0] - 1):
+            for block in _row_combinations(rows[first + 1 :], depth - 1):
+                yield block ^ rows[first]
+
+
+def _candidate_table(
+    h: BitMatrix, r: int, mode: str
+) -> tuple[tuple[frozenset[int], ...], ...]:
+    """Candidate recovering sets of every coordinate, as candidate_sets
+    returns them, from one pass over the low-weight dual words."""
+    if r < 1:
+        raise InvalidParams("locality must be positive")
+    found: list[set[frozenset[int]]] = [set() for _ in range(h.cols)]
+    for bits in _unpack_rows(_low_weight_words(h, r, mode), h.cols):
+        support = frozenset(int(j) + 1 for j in np.flatnonzero(bits))
+        for i in support:
+            found[i - 1].add(support - {i})
+    return tuple(tuple(sorted(sets, key=sorted)) for sets in found)
 
 
 def candidate_sets(
@@ -156,14 +159,7 @@ def candidate_sets(
     sorted lexicographically."""
     if not 1 <= i <= h.cols:
         raise InvalidParams(f"coordinate {i} out of range 1..{h.cols}")
-    if r < 1:
-        raise InvalidParams("locality must be positive")
-    bit = 1 << (i - 1)
-    found: set[frozenset[int]] = set()
-    for word in _dual_word_masks(h, mode):
-        if word & bit and word.bit_count() <= r + 1:
-            found.add(_mask_to_set(word & ~bit))
-    return tuple(sorted(found, key=sorted))
+    return _candidate_table(h, r, mode)[i - 1]
 
 
 def resolve_search_mode(h: BitMatrix, mode: str) -> str:
@@ -191,8 +187,7 @@ def discover_family(
     resolved = resolve_search_mode(h, mode)
     exhaustive = resolved == DUAL_ENUM
     chosen_all = []
-    for i in range(1, h.cols + 1):
-        cands = candidate_sets(h, i, r, resolved)
+    for i, cands in enumerate(_candidate_table(h, r, resolved), start=1):
         chosen = _pick_sets(cands, t, x)
         if chosen is None:
             raise FamilyNotFound(coordinate=i, exhaustive=exhaustive)
@@ -290,24 +285,39 @@ def _separation_failures(
 ) -> list[tuple[int, str]]:
     """Coordinates whose sets fail codeword separation, by full enumeration.
 
-    Streams the code once; for every (i, R) flags any codeword with a 1 at i
-    and zeros on R. Equivalent to comparing all codeword pairs, since pairs
-    violating separation differ by exactly such a codeword.
+    Streams the packed code once; flags (i, R) when some codeword w has a 1
+    at i and zeros on R, that is (w & (R | i)) == i. Equivalent to comparing
+    all codeword pairs, since pairs violating separation differ by exactly
+    such a codeword.
     """
-    targets = []
-    for i, sets in enumerate(family.sets_by_coordinate, start=1):
-        for j, s in enumerate(sets, start=1):
-            targets.append((i, j, np.array(sorted(e - 1 for e in s), dtype=np.intp)))
-    bad: set[tuple[int, int]] = set()
-    for block in iter_codeword_blocks(h, max_dim=dim):
-        for i, j, cols in targets:
-            if (i, j) in bad:
+    targets = [
+        (i, j, s)
+        for i, sets in enumerate(family.sets_by_coordinate, start=1)
+        for j, s in enumerate(sets, start=1)
+    ]
+    at = np.zeros((len(targets), h.cols), dtype=np.uint8)
+    reads = np.zeros_like(at)
+    for t, (i, _, s) in enumerate(targets):
+        at[t, i - 1] = 1
+        reads[t, [e - 1 for e in s]] = 1
+    at, reads = _pack_rows(at), _pack_rows(at | reads)
+    # Per target, (limb, R | i bits, i bit) for the limbs the test reads.
+    tests = [
+        [(limb, reads[t, limb], at[t, limb]) for limb in np.flatnonzero(reads[t])]
+        for t in range(len(targets))
+    ]
+    bad: set[int] = set()
+    for block in _codeword_blocks(h.array, max_dim=dim):
+        by_limb = np.ascontiguousarray(block.T)
+        for t, limbs in enumerate(tests):
+            if t in bad:
                 continue
-            hits = block[:, i - 1] == 1
-            if not hits.any():
-                continue
-            if np.any(hits & (block[:, cols].max(axis=1) == 0)):
-                bad.add((i, j))
+            hit = np.ones(block.shape[0], dtype=bool)
+            for limb, mask, bit in limbs:
+                hit &= (by_limb[limb] & mask) == bit
+            if hit.any():
+                bad.add(t)
     return [
-        (i, f"set {j} fails codeword separation") for i, j in sorted(bad)
+        (targets[t][0], f"set {targets[t][1]} fails codeword separation")
+        for t in sorted(bad)
     ]

@@ -6,11 +6,14 @@ configurations, no shared code paths with the package.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
-from lrckit import BitMatrix, enumerate_codewords
+from lrckit import BitMatrix
+
+# Rows of H each search mode may combine: one, up to three, or all of them.
+_MODE_DEPTH = {"rows-only": 1, "bounded-combos": 3, "dual-enum": None}
 
 
 def min_union_size(r: int, j: int, x: int) -> int:
@@ -58,19 +61,58 @@ def min_distance_by_columns(matrix: BitMatrix, cap: int = 4) -> int | None:
     return None
 
 
-def recoverable_by_pairs(matrix: BitMatrix, coordinate: int, helpers) -> bool:
-    """Literal separation test: the helper projection determines the symbol.
-
-    Enumerates every codeword and groups them by their restriction to the
-    helper coordinates; recoverable means no group mixes both symbol values.
+def candidates_by_brute_force(
+    matrix: BitMatrix, i: int, r: int, mode: str
+) -> tuple[frozenset[int], ...]:
+    """Candidate recovering sets for 1-based coordinate i, straight from the
+    definition: XOR every allowed subset of the rows of H, keep each word with
+    a 1 at i and weight <= r + 1, and return its support minus i, 1-based,
+    deduplicated and sorted like candidate_sets. dual-enum may combine every
+    row, so this walks 2**rows subsets.
     """
-    words = enumerate_codewords(matrix).words
+    depth = _MODE_DEPTH[mode] or matrix.rows
+    rows = matrix.array
+    found = set()
+    for size in range(1, depth + 1):
+        for combo in combinations(range(matrix.rows), size):
+            word = np.zeros(matrix.cols, dtype=np.uint8)
+            for k in combo:
+                word ^= rows[k]
+            support = frozenset(int(j) + 1 for j in np.flatnonzero(word))
+            if i in support and len(support) <= r + 1:
+                found.add(support - {i})
+    return tuple(sorted(found, key=sorted))
+
+
+def codewords_by_brute_force(matrix: BitMatrix) -> np.ndarray:
+    """Every vector c of {0,1}^n with H c = 0; n <= 16."""
+    if matrix.cols > 16:
+        raise ValueError("brute-force codeword search supports n <= 16")
+    vectors = np.array(list(product((0, 1), repeat=matrix.cols)), dtype=np.int64)
+    syndromes = (vectors @ matrix.array.T.astype(np.int64)) % 2
+    return vectors[~syndromes.any(axis=1)].astype(np.uint8)
+
+
+def span_by_brute_force(rows: np.ndarray) -> np.ndarray:
+    """Every combination m @ rows mod 2 over all message vectors m."""
+    messages = np.array(list(product((0, 1), repeat=rows.shape[0])), dtype=np.int64)
+    return ((messages @ rows.astype(np.int64)) % 2).astype(np.uint8)
+
+
+def separated_by(words: np.ndarray, coordinate: int, helpers) -> bool:
+    """Literal separation test on a list of codewords: grouped by their
+    restriction to the helper coordinates, no group mixes both values of the
+    symbol at ``coordinate``. Coordinates are 1-based."""
     cols = sorted(h - 1 for h in helpers)
-    groups: dict[tuple[int, ...], set[int]] = {}
+    groups: dict[bytes, set[int]] = {}
     for word in words:
-        key = tuple(int(word[c]) for c in cols)
-        groups.setdefault(key, set()).add(int(word[coordinate - 1]))
+        groups.setdefault(word[cols].tobytes(), set()).add(int(word[coordinate - 1]))
     return all(len(values) == 1 for values in groups.values())
+
+
+def recoverable_by_pairs(matrix: BitMatrix, coordinate: int, helpers) -> bool:
+    """Separation test over every codeword of H, found by brute force."""
+    return separated_by(codewords_by_brute_force(matrix), coordinate, helpers)
 
 
 def expected_colored_fraction_by_simulation(

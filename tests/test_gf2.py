@@ -148,6 +148,19 @@ def test_enumerate_codewords_is_the_nullspace():
             assert tuple(map(int, (u ^ v))) in rows
 
 
+def test_enumeration_order_crosses_block_boundary():
+    # Dimension 17 spans two 2**16-row blocks.
+    rng = np.random.default_rng(17)
+    h = BitMatrix(rng.integers(0, 2, size=(7, 24), dtype=np.uint8))
+    basis = nullspace_basis(h).array.astype(np.int64)
+    dim = basis.shape[0]
+    assert dim == 17
+    messages = (np.arange(1 << dim)[:, None] >> np.arange(dim - 1, -1, -1)) & 1
+    expected = (messages @ basis) & 1
+    assert np.array_equal(enumerate_codewords(h).words, expected)
+    assert min_distance(h) == expected[1:].sum(axis=1).min()
+
+
 def test_min_distance_known_codes():
     assert min_distance(BitMatrix(WZL_42_INCIDENCE)) == 3
     assert min_distance(BitMatrix.identity(3)) == math.inf

@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
 from lrckit import (
     BitMatrix,
+    DimensionTooLarge,
     FamilyNotFound,
     InvalidParams,
     RecoveringFamily,
@@ -13,6 +15,7 @@ from lrckit import (
     recovery_parity_word,
     verify_family,
 )
+from lrckit import verifier
 from lrckit.verifier import (
     AUTO,
     BOUNDED_COMBOS,
@@ -21,7 +24,12 @@ from lrckit.verifier import (
     resolve_search_mode,
 )
 from known_matrices import WZL_42_INCIDENCE, XLRC_221_COMPLEMENT
-from oracles import recoverable_by_pairs
+from oracles import (
+    candidates_by_brute_force,
+    recoverable_by_pairs,
+    separated_by,
+    span_by_brute_force,
+)
 
 
 def _family(n, sets):
@@ -84,6 +92,45 @@ def test_candidate_sets_respect_size_budget():
     for s in candidate_sets(h, 3, 3, mode=DUAL_ENUM):
         assert len(s) <= 3
         assert 3 not in s
+
+
+def _mixed_sparse_matrix(n, seed, rows=10, weight=4):
+    """Sparse rows on n columns, mixed by a unit lower-triangular matrix (so
+    the first row stays sparse) and column-permuted."""
+    rng = np.random.default_rng(seed)
+    base = np.zeros((rows, n), dtype=np.int64)
+    for k in range(rows):
+        base[k, rng.choice(n, size=weight, replace=False)] = 1
+    lower = rng.integers(0, 2, (rows, rows)) & rng.integers(0, 2, (rows, rows))
+    mixing = np.tril(lower, -1) + np.eye(rows, dtype=np.int64)
+    return BitMatrix(((mixing @ base) % 2)[:, rng.permutation(n)])
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 105])
+def test_candidate_sets_match_brute_force_across_limbs(n):
+    h = _mixed_sparse_matrix(n, seed=n)
+    coords = {1, 63, 64, 65, n} | {j + 1 for j in h.row_support(0)}
+    for mode in (ROWS_ONLY, BOUNDED_COMBOS, DUAL_ENUM):
+        seen = 0
+        for i in sorted(c for c in coords if c <= n):
+            got = candidate_sets(h, i, 7, mode=mode)
+            assert got == candidates_by_brute_force(h, i, 7, mode)
+            seen += len(got)
+        assert seen > 0
+
+
+def test_candidate_sets_rejects_unknown_mode():
+    with pytest.raises(InvalidParams):
+        candidate_sets(BitMatrix(WZL_42_INCIDENCE), 1, 2, mode="every-word")
+
+
+def test_dual_enum_refuses_rank_above_cap_before_enumerating(monkeypatch):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("dual words enumerated past the rank cap")
+
+    monkeypatch.setattr(verifier, "_span_blocks", no_enumeration)
+    with pytest.raises(DimensionTooLarge):
+        candidate_sets(BitMatrix.identity(21), 1, 2, mode=DUAL_ENUM)
 
 
 def test_resolve_search_mode():
@@ -236,3 +283,44 @@ def test_structural_matches_oracle_on_random_subsets():
         for s in combinations(others, 3):
             structural = recovery_parity_word(h, i - 1, [e - 1 for e in s]) is not None
             assert structural == recoverable_by_pairs(h, i, frozenset(s))
+
+
+def test_deep_check_across_limb_boundary():
+    # Systematic code [I | A] with k=12, n=80: every check reads two message
+    # bits, so each row of H = [A^T | I] has weight 3.
+    rng = np.random.default_rng(80)
+    k, n = 12, 80
+    a = np.zeros((k, n - k), dtype=np.uint8)
+    for j in range(n - k):
+        a[rng.choice(k, size=2, replace=False), j] = 1
+    assert a.any(axis=1).all()
+    perm = rng.permutation(n)
+    g = np.hstack([np.eye(k, dtype=np.uint8), a])[:, perm]
+    h = BitMatrix(np.hstack([a.T, np.eye(n - k, dtype=np.uint8)])[:, perm])
+    supports = [h.row_support(row) for row in range(h.rows)]
+    sets = [
+        (frozenset(j + 1 for j in next(s for s in supports if c in s) if j != c),)
+        for c in range(n)
+    ]
+    # A row whose two other members straddle bit 64 gives the good set; the
+    # bad set swaps its high member for an unrelated column above bit 64.
+    good_i, low, high = next(
+        (c, lo, hi)
+        for s in supports
+        for c in s
+        for lo, hi in [sorted(set(s) - {c})]
+        if lo < 64 <= hi
+    )
+    bad_i = next(c for c in range(n) if c not in (good_i, low, high))
+    other = next(c for c in range(64, n) if c not in (good_i, low, high, bad_i))
+    sets[good_i] = (frozenset({low + 1, high + 1}),)
+    sets[bad_i] = (frozenset({low + 1, other + 1}),)
+    family = RecoveringFamily(n=n, sets_by_coordinate=tuple(sets))
+
+    report = verify_family(h, family, 2, 1, 0, deep=True)
+    assert report.deep_checked
+    flagged = {i for i, reason in report.failures if "codeword separation" in reason}
+    assert flagged == {bad_i + 1}
+    words = span_by_brute_force(g)
+    for i, (s,) in enumerate(family.sets_by_coordinate, start=1):
+        assert separated_by(words, i, s) == (i not in flagged)
