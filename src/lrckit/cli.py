@@ -20,7 +20,6 @@ import numpy as np
 from . import bounds as bounds_mod
 from .bounds import bound_report, decimal4, f_value, table1, table2
 from .errors import (
-    DimensionTooLarge,
     FamilyNotFound,
     InvalidCodeword,
     InvalidParams,
@@ -354,22 +353,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (InvalidParams, DimensionTooLarge) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FamilyNotFound as exc:
+    except (FamilyNotFound, InvalidCodeword) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except InvalidCodeword as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except LrckitError as exc:
+    except (LrckitError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

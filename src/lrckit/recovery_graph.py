@@ -6,13 +6,18 @@ the vertices, a vertex takes the smallest color whose whole set ranks below
 it; the colored fraction lower-bounds the redundancy argument behind the rate
 bound, and walks that follow a vertex's own color strictly descend the
 ranking, hence never cycle.
+
+One numpy kernel applies the rule to a block of rankings at once, for a
+single coloring, for Monte Carlo and for the exact expectation. Monte Carlo
+trial k still draws its own permutation from (seed, k); the draws are only
+stacked into blocks for coloring, so results do not depend on the block size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import islice, permutations
 from math import factorial, sqrt
 from typing import Sequence
 
@@ -83,12 +88,68 @@ def build_graph(family: RecoveringFamily) -> RecoveryGraph:
     return RecoveryGraph(n=family.n, t=t, edges=frozenset(edges))
 
 
-def _members0(family: RecoveringFamily) -> list[list[tuple[int, ...]]]:
-    """Per vertex (0-based), per color, the 0-based members of the set."""
-    return [
-        [tuple(sorted(e - 1 for e in s)) for s in sets]
-        for sets in family.sets_by_coordinate
-    ]
+# Scratch entries a kernel call may gather per member column; a block holds
+# this many (trial, vertex, color) triples. Keeps peak memory flat in trials.
+_BLOCK_ENTRIES = 1 << 13
+
+
+def _member_table(family: RecoveringFamily) -> np.ndarray:
+    """(n, t, s) array of 0-based members per vertex and color.
+
+    Short sets are padded with n, a member that always ranks below; missing
+    colors are filled with n + 1, a member that never does (see _extend).
+    """
+    n = family.n
+    t = max(1, max(len(sets) for sets in family.sets_by_coordinate))
+    s = max([1] + [len(m) for sets in family.sets_by_coordinate for m in sets])
+    table = np.full((n, t, s), n + 1, dtype=np.intp)
+    for v0, sets in enumerate(family.sets_by_coordinate):
+        for l0, members in enumerate(sets):
+            table[v0, l0] = n
+            table[v0, l0, : len(members)] = sorted(e - 1 for e in members)
+    return table
+
+
+def _block_rows(table: np.ndarray) -> int:
+    """Rank rows per kernel call for this table."""
+    return max(1, _BLOCK_ENTRIES // (table.shape[0] * table.shape[1]))
+
+
+def _extend(ranks: np.ndarray) -> np.ndarray:
+    """Ranks with the two pad members appended: rank 0 at column n and
+    rank n + 1 at column n + 1. Held as int32 to halve the gathered blocks."""
+    rows, n = ranks.shape
+    ext = np.zeros((rows, n + 2), dtype=np.int32)
+    ext[:, :n] = ranks
+    ext[:, n + 1] = n + 1
+    return ext
+
+
+def _colors(table: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """Colors of a (rows, n) block of ranks: vertex v takes the smallest
+    color l (1-based) whose whole l-th set ranks strictly below v, or 0."""
+    ext = _extend(ranks)
+    highest = ext[:, table[..., 0]]
+    for j in range(1, table.shape[2]):
+        np.maximum(highest, ext[:, table[..., j]], out=highest)
+    below = highest < ranks[:, :, None]
+    return np.where(below.any(axis=2), below.argmax(axis=2) + 1, 0)
+
+
+def _walks_descend(
+    table: np.ndarray, ranks: np.ndarray, colors: np.ndarray
+) -> np.ndarray:
+    """Per row: whether every colored vertex outranks each member of its
+    own-color set. Walks along own-color edges then strictly descend the
+    ranking, so they cannot cycle."""
+    ext = _extend(ranks)
+    vertices = np.arange(table.shape[0])
+    own = np.maximum(colors, 1) - 1
+    lower = np.ones(colors.shape, dtype=bool)
+    for j in range(table.shape[2]):
+        members = table[vertices, own, j]
+        lower &= np.take_along_axis(ext, members, axis=1) < ranks
+    return (lower | (colors == 0)).all(axis=1)
 
 
 def _validate_permutation(permutation: Sequence[int], n: int) -> tuple[int, ...]:
@@ -106,17 +167,10 @@ def color_vertices(
     if graph.n != family.n:
         raise InvalidParams("graph and family disagree on n")
     tau = _validate_permutation(permutation, graph.n)
-    colors: list[int | None] = []
-    for v0, by_color in enumerate(_members0(family)):
-        rank_v = tau[v0]
-        color: int | None = None
-        for l, members in enumerate(by_color, start=1):
-            if all(rank_v > tau[m0] for m0 in members):
-                color = l
-                break
-        colors.append(color)
+    row = _colors(_member_table(family), np.array([tau]))[0]
+    colors = tuple(int(c) if c else None for c in row)
     colored = frozenset(v0 + 1 for v0, c in enumerate(colors) if c is not None)
-    return ColoringOutcome(permutation=tau, colors=tuple(colors), colored=colored)
+    return ColoringOutcome(permutation=tau, colors=colors, colored=colored)
 
 
 def structural_check(
@@ -138,40 +192,6 @@ def structural_check(
     return False
 
 
-def _mono_walks_acyclic(
-    members0: list[list[tuple[int, ...]]],
-    colors: Sequence[int | None],
-) -> bool:
-    """DFS cycle check of the colored subgraph that keeps, for each colored
-    vertex, only the edges of its own color into colored vertices."""
-    n = len(colors)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for v0, c in enumerate(colors):
-        if c is None:
-            continue
-        adj[v0] = [m0 for m0 in members0[v0][c - 1] if colors[m0] is not None]
-    state = [0] * n  # 0 new, 1 on stack, 2 done
-    for root in range(n):
-        if state[root] or colors[root] is None:
-            continue
-        stack: list[tuple[int, int]] = [(root, 0)]
-        state[root] = 1
-        while stack:
-            v0, ptr = stack[-1]
-            if ptr < len(adj[v0]):
-                stack[-1] = (v0, ptr + 1)
-                w0 = adj[v0][ptr]
-                if state[w0] == 1:
-                    return False
-                if state[w0] == 0:
-                    state[w0] = 1
-                    stack.append((w0, 0))
-            else:
-                state[v0] = 2
-                stack.pop()
-    return True
-
-
 def trial_permutation(seed: int, trial: int, n: int) -> np.ndarray:
     """The documented per-trial permutation: ranks 1..n from a PCG64 stream
     seeded with the pair (seed, trial). Independent of the trial order."""
@@ -186,39 +206,26 @@ def monte_carlo_colored_fraction(
 ) -> MonteCarloStats:
     """Sample the colored fraction over seeded random permutations.
 
-    Every trial also verifies that monochromatic colored walks are acyclic.
-    Results depend only on (seed, trials), never on scheduling.
+    Every trial also verifies that monochromatic colored walks strictly
+    descend the ranking, hence are acyclic. Trials are drawn one by one and
+    colored in blocks; results depend only on (seed, trials), never on
+    scheduling or block size.
     """
     if graph.n != family.n:
         raise InvalidParams("graph and family disagree on n")
     if trials < 2:
         raise InvalidParams("need at least two trials for a standard error")
-    members0 = _members0(family)
+    table = _member_table(family)
     n = graph.n
     counts = np.empty(trials, dtype=np.int64)
     walk_failures = 0
-    for k in range(trials):
-        tau = trial_permutation(seed, k, n).tolist()
-        colors: list[int | None] = []
-        colored_count = 0
-        for v0 in range(n):
-            rank_v = tau[v0]
-            color: int | None = None
-            for l, members in enumerate(members0[v0], start=1):
-                ok = True
-                for m0 in members:
-                    if tau[m0] >= rank_v:
-                        ok = False
-                        break
-                if ok:
-                    color = l
-                    break
-            colors.append(color)
-            if color is not None:
-                colored_count += 1
-        counts[k] = colored_count
-        if not _mono_walks_acyclic(members0, colors):
-            walk_failures += 1
+    block = _block_rows(table)
+    for first in range(0, trials, block):
+        ks = range(first, min(first + block, trials))
+        ranks = np.stack([trial_permutation(seed, k, n) for k in ks])
+        colors = _colors(table, ranks)
+        counts[ks.start : ks.stop] = np.count_nonzero(colors, axis=1)
+        walk_failures += int(np.count_nonzero(~_walks_descend(table, ranks, colors)))
     # Single division keeps the mean exact when every trial colors the same
     # number of vertices, so equality with a rational threshold survives.
     mean = int(counts.sum()) / (trials * n)
@@ -239,18 +246,9 @@ def exhaustive_expected_fraction(
         raise DimensionTooLarge(
             f"exhaustive expectation needs n <= {EXHAUSTIVE_VERTEX_CAP}, got {n}"
         )
-    members0 = _members0(family)
+    table = _member_table(family)
+    ranks = permutations(range(1, n + 1))
     total_colored = 0
-    for tau in permutations(range(1, n + 1)):
-        for v0 in range(n):
-            rank_v = tau[v0]
-            for members in members0[v0]:
-                ok = True
-                for m0 in members:
-                    if tau[m0] >= rank_v:
-                        ok = False
-                        break
-                if ok:
-                    total_colored += 1
-                    break
+    while block := list(islice(ranks, _block_rows(table))):
+        total_colored += int(np.count_nonzero(_colors(table, np.array(block))))
     return Fraction(total_colored, factorial(n) * n)

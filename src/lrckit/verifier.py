@@ -106,6 +106,8 @@ def _low_weight_words(h: BitMatrix, r: int, mode: str) -> np.ndarray:
     dual-enum: the entire row space (requires rank <= DUAL_ENUM_RANK_CAP),
     streamed in blocks so memory does not grow with 2**rank. Words may repeat.
     """
+    if r < 1:
+        raise InvalidParams("locality must be positive")
     if mode == ROWS_ONLY:
         blocks = [_pack_rows(h.array)]
     elif mode == BOUNDED_COMBOS:
@@ -136,19 +138,26 @@ def _row_combinations(rows: np.ndarray, depth: int) -> Iterator[np.ndarray]:
                 yield block ^ rows[first]
 
 
+def _candidates_at(
+    words: np.ndarray, n: int, coordinates: range
+) -> list[tuple[frozenset[int], ...]]:
+    """Per 1-based coordinate i: the supports of the packed words through i,
+    minus i, deduplicated and sorted lexicographically."""
+    found: dict[int, set[frozenset[int]]] = {i: set() for i in coordinates}
+    for bits in _unpack_rows(words, n):
+        support = frozenset(int(j) + 1 for j in np.flatnonzero(bits))
+        for i in support & found.keys():
+            found[i].add(support - {i})
+    return [tuple(sorted(found[i], key=sorted)) for i in coordinates]
+
+
 def _candidate_table(
     h: BitMatrix, r: int, mode: str
 ) -> tuple[tuple[frozenset[int], ...], ...]:
     """Candidate recovering sets of every coordinate, as candidate_sets
     returns them, from one pass over the low-weight dual words."""
-    if r < 1:
-        raise InvalidParams("locality must be positive")
-    found: list[set[frozenset[int]]] = [set() for _ in range(h.cols)]
-    for bits in _unpack_rows(_low_weight_words(h, r, mode), h.cols):
-        support = frozenset(int(j) + 1 for j in np.flatnonzero(bits))
-        for i in support:
-            found[i - 1].add(support - {i})
-    return tuple(tuple(sorted(sets, key=sorted)) for sets in found)
+    words = _low_weight_words(h, r, mode)
+    return tuple(_candidates_at(words, h.cols, range(1, h.cols + 1)))
 
 
 def candidate_sets(
@@ -159,7 +168,10 @@ def candidate_sets(
     sorted lexicographically."""
     if not 1 <= i <= h.cols:
         raise InvalidParams(f"coordinate {i} out of range 1..{h.cols}")
-    return _candidate_table(h, r, mode)[i - 1]
+    words = _low_weight_words(h, r, mode)
+    limb, bit = divmod(i - 1, 64)
+    through = (words[:, limb] >> np.uint64(bit)) & np.uint64(1) == 1
+    return _candidates_at(words[through], h.cols, range(i, i + 1))[0]
 
 
 def resolve_search_mode(h: BitMatrix, mode: str) -> str:

@@ -68,21 +68,16 @@ def build_wzl(m: int, t: int) -> WzlCode:
         raise InvalidParams(f"need 1 <= t <= m, got t={t}, m={m}")
     row_labels = subset_labels(m, t - 1)
     col_labels = subset_labels(m, t)
-    col_masks = [_mask(lbl) for lbl in col_labels]
-    h = np.zeros((len(row_labels), len(col_labels)), dtype=np.uint8)
-    for i, row_lbl in enumerate(row_labels):
-        rmask = _mask(row_lbl)
-        for j, cmask in enumerate(col_masks):
-            if rmask & ~cmask == 0:
-                h[i, j] = 1
+    # A (t-1)-subset lies inside a t-subset iff they share t - 1 elements.
+    shared = _indicator(row_labels, m) @ _indicator(col_labels, m).T
+    h = (shared == t - 1).astype(np.uint8)
     return WzlCode(m=m, t=t, H=BitMatrix(h), row_labels=row_labels, col_labels=col_labels)
 
 
-def _mask(label: Label) -> int:
-    mask = 0
-    for e in label:
-        mask |= 1 << e
-    return mask
+def _indicator(labels: tuple[Label, ...], m: int) -> np.ndarray:
+    """0/1 matrix with one row per label and a 1 at each element's column."""
+    elements = range(1, m + 1)
+    return np.array([[e in lbl for e in elements] for lbl in labels], dtype=np.int64)
 
 
 def complement_columns(code: WzlCode) -> WzlCode:

@@ -133,3 +133,58 @@ def expected_colored_fraction_by_simulation(
                     total += 1
                     break
     return total / (trials * n)
+
+
+def members_by_color(sets_by_coordinate) -> list[list[tuple[int, ...]]]:
+    """Per vertex (0-based), per color, the sorted 0-based members."""
+    return [
+        [tuple(sorted(e - 1 for e in s)) for s in sets] for sets in sets_by_coordinate
+    ]
+
+
+def colors_by_rule(sets_by_coordinate, ranks) -> list[int | None]:
+    """The coloring rule read literally: vertex v takes the smallest l whose
+    whole l-th set ranks strictly below v, else None. 1-based members."""
+    colors: list[int | None] = []
+    for v, sets in enumerate(sets_by_coordinate):
+        color = None
+        for l, s in enumerate(sets, start=1):
+            if all(ranks[m - 1] < ranks[v] for m in s):
+                color = l
+                break
+        colors.append(color)
+    return colors
+
+
+def mono_walks_acyclic(
+    members0: list[list[tuple[int, ...]]],
+    colors,
+) -> bool:
+    """DFS cycle check of the colored subgraph that keeps, for each colored
+    vertex, only the edges of its own color into colored vertices."""
+    n = len(colors)
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for v0, c in enumerate(colors):
+        if c is None:
+            continue
+        adj[v0] = [m0 for m0 in members0[v0][c - 1] if colors[m0] is not None]
+    state = [0] * n  # 0 new, 1 on stack, 2 done
+    for root in range(n):
+        if state[root] or colors[root] is None:
+            continue
+        stack: list[tuple[int, int]] = [(root, 0)]
+        state[root] = 1
+        while stack:
+            v0, ptr = stack[-1]
+            if ptr < len(adj[v0]):
+                stack[-1] = (v0, ptr + 1)
+                w0 = adj[v0][ptr]
+                if state[w0] == 1:
+                    return False
+                if state[w0] == 0:
+                    state[w0] = 1
+                    stack.append((w0, 0))
+            else:
+                state[v0] = 2
+                stack.pop()
+    return True

@@ -1,9 +1,20 @@
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from lrckit import BitMatrix, ParseError
+import lrckit
+from lrckit import (
+    BitMatrix,
+    DimensionTooLarge,
+    FamilyNotFound,
+    InvalidCodeword,
+    InvalidParams,
+    LrckitError,
+    ParseError,
+)
+from lrckit import cli
 from lrckit.cli import load_matrix, main, parse_matrix, render_matrix
 from known_matrices import WZL_42_INCIDENCE, XLRC_221_COMPLEMENT
 
@@ -203,13 +214,38 @@ def test_graph_output_is_reproducible(tmp_path, capsys):
 
 
 def test_module_entry_point(tmp_path):
+    # run from the directory the package under test was imported from, so
+    # the child finds it without an install or PYTHONPATH
     proc = subprocess.run(
         [sys.executable, "-m", "lrckit", "bounds", "3", "2", "1"],
         capture_output=True,
         text=True,
+        cwd=Path(lrckit.__file__).resolve().parents[1],
     )
     assert proc.returncode == 0
     assert "R* = 2/3 = 0.6667" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "error,code",
+    [
+        (FamilyNotFound(coordinate=3, exhaustive=True), 1),
+        (InvalidCodeword("vector fails the parity checks"), 1),
+        (ParseError(2, "rows may contain only 0 and 1"), 2),
+        (InvalidParams("bad parameters"), 2),
+        (DimensionTooLarge("too large"), 2),
+        (LrckitError("other library error"), 2),
+        (FileNotFoundError("no such file"), 2),
+    ],
+    ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v),
+)
+def test_exit_code_per_error_type(monkeypatch, capsys, error, code):
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_bounds", fail)
+    assert main(["bounds", "3", "2", "1"]) == code
+    assert capsys.readouterr().err == f"error: {error}\n"
 
 
 def test_usage_error_exits_two():

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import permutations
+from math import factorial
 
 import numpy as np
 import pytest
@@ -21,8 +22,28 @@ from lrckit import (
     structural_check,
     trial_permutation,
 )
-from lrckit.recovery_graph import _members0, _mono_walks_acyclic
-from oracles import expected_colored_fraction_by_simulation
+from lrckit import recovery_graph
+from lrckit.recovery_graph import _colors, _member_table, _walks_descend
+from oracles import (
+    colors_by_rule,
+    expected_colored_fraction_by_simulation,
+    members_by_color,
+    mono_walks_acyclic,
+)
+
+# Unequal numbers of sets, unequal set sizes, and vertex 3 with no sets.
+RAGGED = RecoveringFamily(
+    n=7,
+    sets_by_coordinate=(
+        (frozenset({2}), frozenset({3, 4, 5})),
+        (frozenset({1, 3, 6, 7}),),
+        (),
+        (frozenset({1}), frozenset({2}), frozenset({3, 5, 6})),
+        (frozenset({6, 7}),),
+        (frozenset({5}), frozenset({1, 7})),
+        (frozenset({1, 2, 3, 4, 5, 6}),),
+    ),
+)
 
 
 def _small_setup():
@@ -252,14 +273,100 @@ def test_exhaustive_expectation_cap():
 
 
 def test_monochromatic_walk_cycle_detection():
+    # vertices 1 and 2 recover each other; both colored would need each to
+    # outrank the other, which the descent check rejects like the DFS does
     family = RecoveringFamily(
         n=2,
         sets_by_coordinate=((frozenset({2}),), (frozenset({1}),)),
     )
-    members = _members0(family)
-    assert not _mono_walks_acyclic(members, [1, 1])
-    assert _mono_walks_acyclic(members, [1, None])
-    assert _mono_walks_acyclic(members, [None, None])
+    table = _member_table(family)
+    members = members_by_color(family.sets_by_coordinate)
+    for ranks, colors, acyclic in (
+        ((1, 2), (1, 1), False),
+        ((2, 1), (1, 1), False),
+        ((2, 1), (1, 0), True),
+        ((1, 2), (0, 0), True),
+    ):
+        walks = _walks_descend(table, np.array([ranks]), np.array([colors]))
+        assert walks.tolist() == [acyclic]
+        assert mono_walks_acyclic(members, [c or None for c in colors]) is acyclic
+
+
+def test_walk_failures_count_broken_colorings(monkeypatch):
+    # a kernel that colors every vertex with color 1 breaks descent on every
+    # trial of the two-vertex swap family
+    family = RecoveringFamily(
+        n=2, sets_by_coordinate=((frozenset({2}),), (frozenset({1}),))
+    )
+    monkeypatch.setattr(
+        recovery_graph, "_colors", lambda table, ranks: np.ones_like(ranks)
+    )
+    stats = monte_carlo_colored_fraction(build_graph(family), family, 50, 0)
+    assert stats.walk_failures == 50
+
+
+@pytest.mark.parametrize(
+    "family",
+    [canonical_family(build_xlrc(5, 3, 3)), RAGGED],
+    ids=["n224", "ragged"],
+)
+def test_color_vertices_matches_rule(family):
+    graph = build_graph(family)
+    for k in range(40):
+        tau = trial_permutation(11, k, family.n)
+        outcome = color_vertices(graph, family, tau)
+        assert list(outcome.colors) == colors_by_rule(family.sets_by_coordinate, tau)
+
+
+def test_kernel_block_matches_rule():
+    family = canonical_family(build_xlrc(2, 2, 1, convention="complement"))
+    table = _member_table(family)
+    ranks = np.stack([trial_permutation(5, k, family.n) for k in range(300)])
+    colors = _colors(table, ranks)
+    for row, tau in zip(colors, ranks):
+        expected = colors_by_rule(family.sets_by_coordinate, tau)
+        assert row.tolist() == [c or 0 for c in expected]
+
+
+def test_exhaustive_expectation_ragged_family():
+    n = RAGGED.n
+    colored = 0
+    for tau in permutations(range(1, n + 1)):
+        colors = colors_by_rule(RAGGED.sets_by_coordinate, tau)
+        colored += sum(c is not None for c in colors)
+    expected = Fraction(colored, factorial(n) * n)
+    assert exhaustive_expected_fraction(build_graph(RAGGED), RAGGED) == expected
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        canonical_family(build_xlrc(2, 2, 1, convention="complement")),
+        canonical_family(build_xlrc(5, 3, 3)),
+        RAGGED,
+    ],
+    ids=["n12", "n224", "ragged"],
+)
+def test_walks_descend_agrees_with_dfs(family):
+    table = _member_table(family)
+    members = members_by_color(family.sets_by_coordinate)
+    ranks = np.stack([trial_permutation(13, k, family.n) for k in range(60)])
+    colors = _colors(table, ranks)
+    assert _walks_descend(table, ranks, colors).all()
+    for row in colors:
+        assert mono_walks_acyclic(members, [int(c) or None for c in row])
+    # colorings that ignore the rule: strict descent must imply acyclic walks,
+    # and every cyclic coloring must fail the descent check
+    rng = np.random.default_rng(21)
+    counts = np.array([len(sets) for sets in family.sets_by_coordinate])
+    fake = (rng.random(ranks.shape) * (counts + 1)).astype(np.int64)
+    descend = _walks_descend(table, ranks, fake)
+    cyclic = 0
+    for row, ok in zip(fake, descend):
+        acyclic = mono_walks_acyclic(members, [int(c) or None for c in row])
+        cyclic += not acyclic
+        assert acyclic or not ok
+    assert cyclic > 0
 
 
 def test_colorings_never_cycle():
