@@ -170,13 +170,11 @@ def nullspace_basis(matrix: BitMatrix | np.ndarray) -> BitMatrix:
     a = _as_array(matrix)
     reduced, pivots = _rref(a.copy())
     cols = a.shape[1]
-    pivot_set = set(pivots)
-    free = [c for c in range(cols) if c not in pivot_set]
-    basis = np.zeros((len(free), cols), dtype=np.uint8)
-    for bi, f in enumerate(free):
-        basis[bi, f] = 1
-        for ri, p in enumerate(pivots):
-            basis[bi, p] = reduced[ri, f]
+    free = np.delete(np.arange(cols), list(pivots))
+    basis = np.zeros((free.size, cols), dtype=np.uint8)
+    basis[np.arange(free.size), free] = 1
+    # Pivot row ri reads c_p = sum over free f of R[ri, f] c_f.
+    basis[:, list(pivots)] = reduced[: len(pivots), free].T
     return BitMatrix(basis)
 
 
@@ -240,36 +238,32 @@ def _xor_combinations(rows: np.ndarray) -> np.ndarray:
     return combos
 
 
-def _span_blocks(basis: np.ndarray, block_bits: int = _BLOCK_BITS) -> Iterator[np.ndarray]:
+def _span_blocks(basis: np.ndarray) -> Iterator[np.ndarray]:
     """Every XOR combination of the packed basis rows, in blocks of at most
-    2**block_bits rows, in information-vector order. Memory is one block
-    plus the 2**(dim - block_bits) block offsets, whatever the dimension."""
-    high = max(basis.shape[0] - block_bits, 0)
+    2**_BLOCK_BITS rows, in information-vector order. Memory is one block
+    plus the 2**(dim - _BLOCK_BITS) block offsets, whatever the dimension."""
+    high = max(basis.shape[0] - _BLOCK_BITS, 0)
     low = _xor_combinations(basis[high:])
     for offset in _xor_combinations(basis[:high]):
         yield low ^ offset
 
 
-def _codeword_blocks(
-    a: np.ndarray, max_dim: int, block_bits: int = _BLOCK_BITS
-) -> Iterator[np.ndarray]:
+def _codeword_blocks(a: np.ndarray, max_dim: int) -> Iterator[np.ndarray]:
     """Packed codewords of the nullspace of H, as _span_blocks yields them;
     raises DimensionTooLarge past ``max_dim`` before enumerating anything."""
     basis = nullspace_basis(a).array
     if basis.shape[0] > max_dim:
         raise DimensionTooLarge(f"code dimension {basis.shape[0]} exceeds cap {max_dim}")
-    return _span_blocks(_pack_rows(basis), block_bits)
+    return _span_blocks(_pack_rows(basis))
 
 
 def iter_codeword_blocks(
-    matrix: BitMatrix | np.ndarray,
-    max_dim: int = ENUMERATION_CAP,
-    block_bits: int = _BLOCK_BITS,
+    matrix: BitMatrix | np.ndarray, max_dim: int = ENUMERATION_CAP
 ) -> Iterator[np.ndarray]:
     """Yield the codewords of the nullspace of H in blocks of at most
-    2**block_bits rows, in information-vector order."""
+    2**_BLOCK_BITS rows, in information-vector order."""
     a = _as_array(matrix)
-    for block in _codeword_blocks(a, max_dim, block_bits):
+    for block in _codeword_blocks(a, max_dim):
         yield _unpack_rows(block, a.shape[1])
 
 

@@ -90,7 +90,7 @@ def build_graph(family: RecoveringFamily) -> RecoveryGraph:
 
 # Scratch entries a kernel call may gather per member column; a block holds
 # this many (trial, vertex, color) triples. Keeps peak memory flat in trials.
-_BLOCK_ENTRIES = 1 << 13
+_BLOCK_ENTRIES = 2**13
 
 
 def _member_table(family: RecoveringFamily) -> np.ndarray:

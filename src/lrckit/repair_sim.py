@@ -2,19 +2,21 @@
 
 Each recovering set is realized by a parity word of the matrix through the
 erased coordinate; the lost symbol is the XOR of the helpers the word reads.
+The helpers come from the verifier's realizing-word table, built once per
+(matrix, family) and shared with ``verify_family``, so repairing every
+coordinate of many codewords solves each set's parity word once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import InvalidCodeword, InvalidParams
-from .gf2 import BitMatrix, rank, recovery_parity_word, rref
-from .verifier import RecoveringFamily
+from .gf2 import BitMatrix, nullspace_basis
+from .verifier import RecoveringFamily, _realizing_helpers
 
 __all__ = ["RepairTrace", "systematic_encode", "simulate_repair"]
 
@@ -37,44 +39,16 @@ class RepairTrace:
 def systematic_encode(h: BitMatrix, message: Sequence[int]) -> np.ndarray:
     """Embed a length-(cols - rank) message at the pivot-free columns of the
     reduced parity-check matrix and fill the pivot columns to satisfy every
-    check. The zero message encodes to the zero codeword."""
-    reduced, pivots = rref(h)
-    pivot_set = set(pivots)
-    free = [c for c in range(h.cols) if c not in pivot_set]
+    check: the message times the systematic nullspace basis. The zero message
+    encodes to the zero codeword."""
+    basis = nullspace_basis(h).array
     msg = np.asarray(message, dtype=np.uint8)
-    if msg.ndim != 1 or msg.shape[0] != len(free):
-        raise InvalidParams(f"message must have length {len(free)}")
+    if msg.ndim != 1 or msg.shape[0] != basis.shape[0]:
+        raise InvalidParams(f"message must have length {basis.shape[0]}")
     if msg.size and msg.max() > 1:
         raise InvalidParams("message entries must be 0 or 1")
-    word = np.zeros(h.cols, dtype=np.uint8)
-    word[free] = msg
-    for ri, p in enumerate(pivots):
-        # Pivot row: c_p + sum over free columns f of R[ri, f] c_f = 0.
-        word[p] = int(reduced.array[ri, free] @ msg) & 1
-    return word
-
-
-@lru_cache(maxsize=64)
-def _realizing_masks(
-    h: BitMatrix, family: RecoveringFamily
-) -> tuple[tuple[int, ...], ...]:
-    """Per coordinate, per set, a parity word through the coordinate with
-    support inside set + {coordinate}, as a column bitmask."""
-    per_coordinate = []
-    for i, sets in enumerate(family.sets_by_coordinate, start=1):
-        words = []
-        for s in sets:
-            word = recovery_parity_word(h, i - 1, [e - 1 for e in s])
-            if word is None:
-                raise InvalidParams(
-                    f"coordinate {i}: a recovering set admits no parity word"
-                )
-            mask = 0
-            for j in np.nonzero(word)[0]:
-                mask |= 1 << int(j)
-            words.append(mask)
-        per_coordinate.append(tuple(words))
-    return tuple(per_coordinate)
+    # uint8 sums wrap modulo 256, an even number, so their parity is exact.
+    return (msg @ basis) & 1
 
 
 def simulate_repair(
@@ -99,24 +73,22 @@ def simulate_repair(
         raise InvalidCodeword("codeword entries must be 0 or 1")
     if np.any((h.array @ cw) & 1):
         raise InvalidCodeword("vector fails the parity checks")
-    masks = _realizing_masks(h, family)[erased - 1]
-    erased_bit = 1 << (erased - 1)
+    table, first_bad = _realizing_helpers(h, family)
+    if first_bad is not None:
+        raise InvalidParams(
+            f"coordinate {first_bad}: a recovering set admits no parity word"
+        )
+    bits = cw.tolist()
     recoveries = []
     values = []
     load: dict[int, int] = {}
-    for mask in masks:
-        helpers_mask = mask & ~erased_bit
-        reads = []
+    for helpers in table[erased - 1]:
+        reads = tuple((j + 1, bits[j]) for j in helpers)
         value = 0
-        m = helpers_mask
-        while m:
-            j = (m & -m).bit_length() - 1
-            bit_value = int(cw[j])
-            reads.append((j + 1, bit_value))
-            value ^= bit_value
-            load[j + 1] = load.get(j + 1, 0) + 1
-            m &= m - 1
-        recoveries.append(tuple(reads))
+        for j, bit in reads:
+            value ^= bit
+            load[j] = load.get(j, 0) + 1
+        recoveries.append(reads)
         values.append(value)
     return RepairTrace(
         erased=erased,

@@ -10,6 +10,7 @@ pairwise intersections of size at most x.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterator
 
@@ -49,9 +50,6 @@ AUTO = "auto"
 
 # Dual enumeration walks 2**rank(H) words; refuse beyond this.
 DUAL_ENUM_RANK_CAP = 20
-
-# bounded-combos searches XORs of up to this many rows of H.
-_COMBO_DEPTH = 3
 
 # Deep separation checks enumerate 2**dim codewords; skip beyond this.
 DEEP_CHECK_DIM_CAP = 20
@@ -111,7 +109,7 @@ def _low_weight_words(h: BitMatrix, r: int, mode: str) -> np.ndarray:
     if mode == ROWS_ONLY:
         blocks = [_pack_rows(h.array)]
     elif mode == BOUNDED_COMBOS:
-        blocks = _row_combinations(_pack_rows(h.array), _COMBO_DEPTH)
+        blocks = _row_combinations(_pack_rows(h.array))
     elif mode == DUAL_ENUM:
         reduced, pivots = rref(h)
         if len(pivots) > DUAL_ENUM_RANK_CAP:
@@ -128,14 +126,16 @@ def _low_weight_words(h: BitMatrix, r: int, mode: str) -> np.ndarray:
     return np.concatenate(kept)
 
 
-def _row_combinations(rows: np.ndarray, depth: int) -> Iterator[np.ndarray]:
-    """Blocks holding the XOR of every 1..depth distinct packed rows, each
-    combination once."""
+def _row_combinations(rows: np.ndarray) -> Iterator[np.ndarray]:
+    """Blocks holding the XOR of every 1, 2 or 3 distinct packed rows, each
+    combination once: the rows, then per leading row one block of pairs and
+    one block of triples with the later rows."""
     yield rows
-    if depth > 1:
-        for first in range(rows.shape[0] - 1):
-            for block in _row_combinations(rows[first + 1 :], depth - 1):
-                yield block ^ rows[first]
+    for first in range(rows.shape[0] - 1):
+        later = rows[first + 1 :]
+        yield later ^ rows[first]
+        a, b = np.triu_indices(later.shape[0], 1)
+        yield later[a] ^ later[b] ^ rows[first]
 
 
 def _candidates_at(
@@ -229,6 +229,32 @@ def _pick_sets(
     return tuple(chosen) if descend(0) else None
 
 
+@lru_cache(maxsize=64)
+def _realizing_helpers(
+    h: BitMatrix, family: RecoveringFamily
+) -> tuple[tuple[tuple[tuple[int, ...] | None, ...], ...], int | None]:
+    """Per coordinate and per recovering set: the ascending 0-based columns,
+    other than the coordinate's own, of the word ``recovery_parity_word``
+    finds for them, or None when the set admits no parity word. Also the
+    first 1-based coordinate with such a set, or None. Verification and
+    repair share this table."""
+    table = []
+    first_bad = None
+    for i, sets in enumerate(family.sets_by_coordinate):
+        helpers = []
+        for s in sets:
+            word = recovery_parity_word(h, i, [e - 1 for e in s])
+            if word is None:
+                helpers.append(None)
+                if first_bad is None:
+                    first_bad = i + 1
+            else:
+                support = np.flatnonzero(word).tolist()
+                helpers.append(tuple(j for j in support if j != i))
+        table.append(tuple(helpers))
+    return tuple(table), first_bad
+
+
 def verify_family(
     h: BitMatrix,
     family: RecoveringFamily,
@@ -236,18 +262,18 @@ def verify_family(
     t: int,
     x: int,
     deep: bool = False,
-    deep_cap: int = DEEP_CHECK_DIM_CAP,
 ) -> VerificationReport:
     """Check a family against (r, t, x) over the code of H.
 
     Structural recoverability demands a dual word with support in R + {i}
-    containing i. With ``deep`` and dimension <= deep_cap, additionally
-    enumerates the code and checks that no codeword has c_i = 1 with c_R all
-    zero, which for a linear code is exactly the statement that codewords
-    differing at i also differ on R. Failures are data, not errors.
+    containing i. With ``deep`` and dimension <= DEEP_CHECK_DIM_CAP,
+    additionally enumerates the code and checks that no codeword has c_i = 1
+    with c_R all zero, which for a linear code is exactly the statement that
+    codewords differing at i also differ on R. Failures are data, not errors.
     """
     if family.n != h.cols:
         raise InvalidParams("family length does not match matrix columns")
+    table, _ = _realizing_helpers(h, family)
     failures: list[tuple[int, str]] = []
     checks: list[CoordinateCheck] = []
     for i, sets in enumerate(family.sets_by_coordinate, start=1):
@@ -265,9 +291,8 @@ def verify_family(
                 failures.append(
                     (i, f"sets {a + 1} and {b + 1} intersect in {inter} > x={x}")
                 )
-        for j, s in enumerate(sets, start=1):
-            word = recovery_parity_word(h, i - 1, [e - 1 for e in s])
-            if word is None:
+        for j, helpers in enumerate(table[i - 1], start=1):
+            if helpers is None:
                 failures.append((i, f"set {j} admits no parity word through {i}"))
         checks.append(
             CoordinateCheck(
@@ -280,7 +305,7 @@ def verify_family(
     deep_checked = False
     if deep:
         dim = h.cols - rank(h)
-        if dim <= deep_cap:
+        if dim <= DEEP_CHECK_DIM_CAP:
             failures.extend(_separation_failures(h, family, dim))
             deep_checked = True
     ordered = tuple(sorted(failures))

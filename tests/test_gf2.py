@@ -102,6 +102,21 @@ def test_nullspace_is_orthogonal_complement():
     assert rank(basis) == basis.rows
 
 
+def test_nullspace_basis_is_systematic_on_free_columns():
+    # The basis is the unique one with identity on the non-pivot columns; a
+    # column is a pivot when it raises the rank of the columns before it.
+    rng = np.random.default_rng(29)
+    for cols in (1, 7, 64, 130, 300):
+        for _ in range(4):
+            a = rng.integers(0, 2, size=(rng.integers(1, 12), cols), dtype=np.uint8)
+            ranks = [0] + [rank(BitMatrix(a[:, : c + 1])) for c in range(cols)]
+            free = [c for c in range(cols) if ranks[c + 1] == ranks[c]]
+            basis = nullspace_basis(a).array
+            assert basis.shape == (len(free), cols)
+            assert np.array_equal(basis[:, free], np.eye(len(free), dtype=np.uint8))
+            assert not ((a.astype(np.int64) @ basis.T) & 1).any()
+
+
 def test_nullspace_of_full_rank_matrix_is_empty():
     basis = nullspace_basis(BitMatrix.identity(4))
     assert basis.rows == 0

@@ -5,13 +5,16 @@ from lrckit import (
     BitMatrix,
     InvalidCodeword,
     InvalidParams,
+    RecoveringFamily,
     build_wzl,
     build_xlrc,
     canonical_family,
     discover_family,
     enumerate_codewords,
+    recovery_parity_word,
     simulate_repair,
     systematic_encode,
+    verify_family,
 )
 from known_matrices import WZL_42_INCIDENCE, XLRC_221_COMPLEMENT
 
@@ -36,6 +39,18 @@ def test_systematic_encode_wide_code():
         messages.add(tuple(map(int, message)))
         words.add(tuple(map(int, word)))
     assert len(words) == len(messages)
+
+
+def test_systematic_encode_parity_past_255_ones():
+    # One parity row over 300 columns: the pivot bit is the parity of the
+    # whole message, whatever its length.
+    h = BitMatrix(np.ones((1, 300), dtype=np.uint8))
+    for ones in (255, 256, 257, 299):
+        message = np.zeros(299, dtype=np.uint8)
+        message[:ones] = 1
+        word = systematic_encode(h, message)
+        assert int(word[0]) == ones % 2
+        assert np.array_equal(word[1:], message)
 
 
 def test_systematic_encode_round_trip():
@@ -139,3 +154,69 @@ def test_helper_load_sibling_overlap():
     sets = family.sets_by_coordinate[0]
     assert set(trace.helper_load) == set().union(*sets)
     assert list(trace.helper_load) == sorted(trace.helper_load)
+
+
+def _presented(code, seed):
+    """H with a seeded invertible row mixing and column permutation, and the
+    canonical family carried through the permutation."""
+    rng = np.random.default_rng(seed)
+    rows, n = code.H.rows, code.H.cols
+    eye = np.eye(rows, dtype=np.int64)
+    lower = np.tril(rng.integers(0, 2, (rows, rows)), -1) + eye
+    upper = np.triu(rng.integers(0, 2, (rows, rows)), 1) + eye
+    perm = rng.permutation(n)
+    h = BitMatrix((((lower @ upper) & 1) @ code.H.array[:, perm]) & 1)
+    new_of_old = np.argsort(perm)
+    family = RecoveringFamily(
+        n=n,
+        sets_by_coordinate=tuple(
+            tuple(frozenset(int(new_of_old[e - 1]) + 1 for e in s) for s in sets)
+            for sets in (canonical_family(code).sets_by_coordinate[old] for old in perm)
+        ),
+    )
+    return h, family
+
+
+def test_repair_on_row_mixed_presentation():
+    code = build_xlrc(2, 3, 1)
+    h, family = _presented(code, seed=31)
+    assert verify_family(h, family, code.params.r, 3, 1).ok
+    rows = {h.array[k].tobytes() for k in range(h.rows)}
+    solved = 0
+    rng = np.random.default_rng(32)
+    for _ in range(3):
+        word = systematic_encode(h, rng.integers(0, 2, size=code.params.k, dtype=np.uint8))
+        for i in range(1, h.cols + 1):
+            trace = simulate_repair(h, family, word, i)
+            assert trace.recovered_values == (int(word[i - 1]),) * 3
+            for s, reads in zip(family.sets_by_coordinate[i - 1], trace.recoveries):
+                parity = recovery_parity_word(h, i - 1, [e - 1 for e in s])
+                solved += parity.tobytes() not in rows
+                helpers = [pos for pos, _ in reads]
+                assert helpers == [j + 1 for j in np.flatnonzero(parity) if j != i - 1]
+                assert set(helpers) <= s
+                assert all(value == int(word[pos - 1]) for pos, value in reads)
+    # The mixing hides most sets from the single-row fast path.
+    assert solved > 0
+
+
+def test_unrealizable_set_named_by_repair_and_verification():
+    h = BitMatrix(WZL_42_INCIDENCE)
+    base = discover_family(h, 2, 2, 0)
+    bad = 4
+    sets = list(base.sets_by_coordinate)
+    # Columns of H are distinct, so no parity word has weight 2.
+    sets[bad - 1] = (frozenset({1}),) + sets[bad - 1][1:]
+    family = RecoveringFamily(n=6, sets_by_coordinate=tuple(sets))
+    word = systematic_encode(h, np.array([1, 0, 1], dtype=np.uint8))
+    for erased in (1, 6):
+        with pytest.raises(InvalidParams, match=f"coordinate {bad}: "):
+            simulate_repair(h, family, word, erased)
+    report = verify_family(h, family, 2, 2, 0)
+    unrealizable = [f for f in report.failures if "admits no parity word" in f[1]]
+    assert unrealizable == [(bad, f"set 1 admits no parity word through {bad}")]
+    # With a second bad coordinate after it, repair still names the first.
+    sets[5] = sets[5][:1] + (frozenset({1}),)
+    family = RecoveringFamily(n=6, sets_by_coordinate=tuple(sets))
+    with pytest.raises(InvalidParams, match=f"coordinate {bad}: "):
+        simulate_repair(h, family, word, 1)

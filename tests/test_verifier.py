@@ -266,9 +266,11 @@ def test_deep_check_flags_bad_set():
 
 
 def test_deep_check_skipped_above_cap():
-    h = BitMatrix(WZL_42_INCIDENCE)
-    family = discover_family(h, 2, 2, 0)
-    report = verify_family(h, family, 2, 2, 0, deep=True, deep_cap=2)
+    code = build_xlrc(5, 3, 0)
+    p = code.params
+    assert (p.n, p.k) == (56, 35)
+    assert p.k > verifier.DEEP_CHECK_DIM_CAP
+    report = verify_family(code.H, canonical_family(code), p.r, p.t, p.x, deep=True)
     assert report.ok
     assert not report.deep_checked
 
