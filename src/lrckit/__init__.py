@@ -30,8 +30,6 @@ from .errors import (
 )
 from .gf2 import (
     BitMatrix,
-    CodewordSet,
-    enumerate_codewords,
     kronecker,
     min_distance,
     nullspace_basis,
@@ -70,7 +68,6 @@ __all__ = [
     "BitMatrix",
     "BoundReport",
     "CodeParams",
-    "CodewordSet",
     "ColoringOutcome",
     "CoordinateCheck",
     "DimensionTooLarge",
@@ -100,7 +97,6 @@ __all__ = [
     "discover_family",
     "distance_bound_tbf",
     "distance_bound_wr",
-    "enumerate_codewords",
     "exhaustive_expected_fraction",
     "f_value",
     "kronecker",

@@ -280,6 +280,8 @@ def _structural_sweep(graph, family, seed: int, perms: int) -> tuple[int, int]:
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise InvalidParams("--seed must be nonnegative")
     h = load_matrix(args.matrix)
     family = discover_family(h, args.r, args.t, args.x)
     graph = build_graph(family)
@@ -312,6 +314,10 @@ def cmd_graph(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise InvalidParams("--seed must be nonnegative")
+    if args.samples < 1:
+        raise InvalidParams("--samples must be positive")
     h = load_matrix(args.matrix)
     dim = h.cols - rank(h)
     mode = resolve_search_mode(h, AUTO)

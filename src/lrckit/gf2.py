@@ -9,7 +9,6 @@ on rows packed into uint64 limbs and streams fixed-size blocks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -20,12 +19,10 @@ __all__ = [
     "ENUMERATION_CAP",
     "INFINITE_DISTANCE",
     "BitMatrix",
-    "CodewordSet",
     "rank",
     "rref",
     "nullspace_basis",
     "kronecker",
-    "enumerate_codewords",
     "iter_codeword_blocks",
     "min_distance",
     "solve",
@@ -183,35 +180,6 @@ def kronecker(a: BitMatrix | np.ndarray, b: BitMatrix | np.ndarray) -> BitMatrix
     return BitMatrix(np.kron(_as_array(a), _as_array(b)))
 
 
-@dataclass(frozen=True, eq=False)
-class CodewordSet:
-    """All codewords of a code, one per row, in information-vector order.
-
-    Row i is the codeword of the message whose bits are the binary digits of
-    i (first basis vector = most significant bit), so the all-zero word is
-    always row 0 and the set is closed under XOR of rows.
-    """
-
-    length: int
-    words: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.words.ndim != 2 or self.words.shape[1] != self.length:
-            raise InvalidParams("codeword array shape does not match length")
-        self.words.setflags(write=False)
-
-    def __len__(self) -> int:
-        return self.words.shape[0]
-
-    def __iter__(self) -> Iterator[np.ndarray]:
-        return iter(self.words)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CodewordSet):
-            return NotImplemented
-        return self.length == other.length and np.array_equal(self.words, other.words)
-
-
 def _pack_rows(a: np.ndarray) -> np.ndarray:
     """Rows of a 0/1 matrix as uint64 limbs, ceil(cols / 64) per row; column
     j is bit j % 64 of limb j // 64."""
@@ -267,19 +235,6 @@ def iter_codeword_blocks(
         yield _unpack_rows(block, a.shape[1])
 
 
-def enumerate_codewords(
-    matrix: BitMatrix | np.ndarray, max_dim: int = ENUMERATION_CAP
-) -> CodewordSet:
-    """Materialize all 2**(cols - rank) codewords of the nullspace of H.
-
-    Raises DimensionTooLarge past ``max_dim``; memory is the caller's problem
-    below it.
-    """
-    a = _as_array(matrix)
-    blocks = list(iter_codeword_blocks(a, max_dim=max_dim))
-    return CodewordSet(length=a.shape[1], words=np.vstack(blocks))
-
-
 def min_distance(
     matrix: BitMatrix | np.ndarray, max_dim: int = ENUMERATION_CAP
 ) -> int | float:
@@ -327,12 +282,15 @@ def recovery_parity_word(
 
     ``target`` and ``helpers`` are 0-based column indices. Such a word
     certifies that coordinate ``target`` of every codeword is the XOR of the
-    coordinates in w's support minus target.
+    coordinates in w's support minus target. None is returned only when the
+    linear system for w is inconsistent, so no such word exists.
     """
     a = _as_array(matrix)
     n = a.shape[1]
     if not 0 <= target < n:
         raise InvalidParams("target column out of range")
+    if not all(0 <= j < n for j in helpers):
+        raise InvalidParams("helper column out of range")
     allowed = np.zeros(n, dtype=bool)
     allowed[list(helpers)] = True
     allowed[target] = True

@@ -188,6 +188,24 @@ def test_simulate(tmp_path, capsys):
     assert "result: ok" in out
 
 
+@pytest.mark.parametrize(
+    "command, options",
+    [
+        ("graph", ["--seed", "-1"]),
+        ("simulate", ["--seed", "-1"]),
+        ("simulate", ["--samples", "0"]),
+        ("simulate", ["--samples", "-2"]),
+    ],
+)
+def test_seed_and_samples_are_usage_errors(tmp_path, capsys, command, options):
+    path = _write_matrix(tmp_path, XLRC_221_COMPLEMENT)
+    assert main([command, path, "5", "2", "1", *options]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert "result:" not in captured.out
+
+
 def test_construct_xlrc_zero_overlap_matches_wzl(tmp_path, capsys):
     a = tmp_path / "a.txt"
     b = tmp_path / "b.txt"

@@ -6,7 +6,7 @@ import pytest
 from lrckit import (
     BitMatrix,
     DimensionTooLarge,
-    enumerate_codewords,
+    InvalidParams,
     kronecker,
     min_distance,
     nullspace_basis,
@@ -15,7 +15,12 @@ from lrckit import (
     rref,
     solve,
 )
+from lrckit.gf2 import iter_codeword_blocks
 from known_matrices import WZL_42_INCIDENCE
+
+
+def _codewords(h):
+    return np.vstack(list(iter_codeword_blocks(h)))
 
 
 def test_bitmatrix_basic_properties():
@@ -142,19 +147,18 @@ def test_kronecker_with_single_one_is_identity_map():
     assert kronecker(m, BitMatrix.ones(1, 1)) == m
 
 
-def test_enumerate_codewords_small_anchors():
-    words = enumerate_codewords(BitMatrix([[1, 1, 1]]))
-    got = {tuple(map(int, w)) for w in words.words}
+def test_iter_codeword_blocks_small_anchors():
+    words = _codewords(BitMatrix([[1, 1, 1]]))
+    got = {tuple(map(int, w)) for w in words}
     assert got == {(0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1)}
-    only_zero = enumerate_codewords(BitMatrix.identity(2))
-    assert {tuple(map(int, w)) for w in only_zero.words} == {(0, 0)}
+    only_zero = _codewords(BitMatrix.identity(2))
+    assert {tuple(map(int, w)) for w in only_zero} == {(0, 0)}
 
 
-def test_enumerate_codewords_is_the_nullspace():
+def test_iter_codeword_blocks_is_the_nullspace():
     m = BitMatrix(WZL_42_INCIDENCE)
-    words = enumerate_codewords(m)
-    assert len(words) == 8
-    arr = words.words
+    arr = _codewords(m)
+    assert len(arr) == 8
     assert not ((m.array @ arr.T) & 1).any()
     # closed under addition: XOR of any two rows is again a row
     rows = {tuple(map(int, w)) for w in arr}
@@ -172,7 +176,7 @@ def test_enumeration_order_crosses_block_boundary():
     assert dim == 17
     messages = (np.arange(1 << dim)[:, None] >> np.arange(dim - 1, -1, -1)) & 1
     expected = (messages @ basis) & 1
-    assert np.array_equal(enumerate_codewords(h).words, expected)
+    assert np.array_equal(_codewords(h), expected)
     assert min_distance(h) == expected[1:].sum(axis=1).min()
 
 
@@ -201,7 +205,7 @@ def test_min_distance_matches_column_oracle():
 def test_enumeration_cap_enforced():
     wide = BitMatrix.ones(1, 30)
     with pytest.raises(DimensionTooLarge):
-        enumerate_codewords(wide)
+        _codewords(wide)
     with pytest.raises(DimensionTooLarge):
         min_distance(wide)
 
@@ -246,3 +250,11 @@ def test_recovery_parity_word_absent():
     m = BitMatrix(WZL_42_INCIDENCE)
     assert recovery_parity_word(m, 0, (1,)) is None
     assert recovery_parity_word(m, 0, ()) is None
+
+
+def test_recovery_parity_word_rejects_helpers_out_of_range():
+    m = BitMatrix(WZL_42_INCIDENCE)
+    # -1 would otherwise wrap to the last column; 6 is one past the end.
+    for helpers in ((1, 2, -1), (1, 2, 6), (-6,)):
+        with pytest.raises(InvalidParams):
+            recovery_parity_word(m, 0, helpers)

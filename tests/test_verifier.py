@@ -26,6 +26,7 @@ from lrckit.verifier import (
 from known_matrices import WZL_42_INCIDENCE, XLRC_221_COMPLEMENT
 from oracles import (
     candidates_by_brute_force,
+    codewords_by_brute_force,
     recoverable_by_pairs,
     separated_by,
     span_by_brute_force,
@@ -326,3 +327,39 @@ def test_deep_check_across_limb_boundary():
     words = span_by_brute_force(g)
     for i, (s,) in enumerate(family.sets_by_coordinate, start=1):
         assert separated_by(words, i, s) == (i not in flagged)
+
+
+@pytest.mark.parametrize(
+    "spec", [(1, 2, 1), (1, 3, 1), (2, 3, 0), (2, 2, 1), (1, 3, 3), (2, 3, 1), (4, 3, 0)]
+)
+def test_deep_failures_pair_with_structural_on_cut_families(spec):
+    code = build_xlrc(*spec)
+    p = code.params
+    assert p.k <= verifier.DEEP_CHECK_DIM_CAP
+    rng = np.random.default_rng((31, *spec))
+    sets = [list(s) for s in canonical_family(code).sets_by_coordinate]
+    for i in rng.choice(p.n, size=max(1, p.n // 3), replace=False):
+        members = sorted(sets[i][0])
+        sets[i][0] = frozenset(members) - {members[rng.integers(len(members))]}
+    family = RecoveringFamily(n=p.n, sets_by_coordinate=tuple(map(tuple, sets)))
+
+    report = verify_family(code.H, family, p.r, p.t, p.x, deep=True)
+    assert report.deep_checked
+
+    def failed(reason):
+        return [
+            (i, j)
+            for i, text in report.failures
+            for j in range(1, p.t + 1)
+            if text == reason.format(i=i, j=j)
+        ]
+
+    deep = failed("set {j} fails codeword separation")
+    structural = failed("set {j} admits no parity word through {i}")
+    assert deep
+    assert sorted(deep) == sorted(structural)
+    if p.n <= 16:
+        words = codewords_by_brute_force(code.H)
+        for i, sets_i in enumerate(family.sets_by_coordinate, start=1):
+            for j, s in enumerate(sets_i, start=1):
+                assert separated_by(words, i, s) == ((i, j) not in deep)
