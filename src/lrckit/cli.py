@@ -282,6 +282,8 @@ def _structural_sweep(graph, family, seed: int, perms: int) -> tuple[int, int]:
 def cmd_graph(args: argparse.Namespace) -> int:
     if args.seed < 0:
         raise InvalidParams("--seed must be nonnegative")
+    if not args.exhaustive and args.trials < 2:
+        raise InvalidParams("--trials must be at least 2")
     h = load_matrix(args.matrix)
     family = discover_family(h, args.r, args.t, args.x)
     graph = build_graph(family)

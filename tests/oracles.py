@@ -7,6 +7,7 @@ configurations, no shared code paths with the package.
 from __future__ import annotations
 
 from itertools import combinations, product
+from math import sqrt
 
 import numpy as np
 
@@ -133,6 +134,26 @@ def expected_colored_fraction_by_simulation(
                     total += 1
                     break
     return total / (trials * n)
+
+
+def seeded_permutation(seed: int, trial: int, n: int) -> np.ndarray:
+    """The per-trial ranks of the Monte Carlo contract, drawn directly."""
+    return np.random.default_rng((seed, trial)).permutation(n) + 1
+
+
+def monte_carlo_by_rule(sets_by_coordinate, n: int, trials: int, seed: int):
+    """(mean, stderr) of the colored fraction over the contract's seeded
+    permutations, colored one trial at a time by the literal rule and
+    reduced with the same float formulas as the library."""
+    counts = np.array(
+        [
+            sum(c is not None for c in colors_by_rule(sets_by_coordinate, ranks))
+            for ranks in (seeded_permutation(seed, k, n) for k in range(trials))
+        ]
+    )
+    mean = int(counts.sum()) / (trials * n)
+    stderr = float(counts.std(ddof=1) / (n * sqrt(trials)))
+    return mean, stderr
 
 
 def members_by_color(sets_by_coordinate) -> list[list[tuple[int, ...]]]:

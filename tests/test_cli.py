@@ -206,6 +206,23 @@ def test_seed_and_samples_are_usage_errors(tmp_path, capsys, command, options):
     assert "result:" not in captured.out
 
 
+@pytest.mark.parametrize("trials", ["0", "1", "-3"])
+def test_graph_trials_below_two_is_usage_error(tmp_path, capsys, trials):
+    path = _write_matrix(tmp_path, XLRC_221_COMPLEMENT)
+    assert main(["graph", path, "5", "2", "1", "--trials", trials]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --trials must be at least 2\n"
+
+
+def test_graph_exhaustive_ignores_trials(tmp_path, capsys):
+    assert main(["construct", "xlrc", "1", "2", "1", "--out", str(tmp_path / "h.txt")]) == 0
+    capsys.readouterr()
+    args = ["graph", str(tmp_path / "h.txt"), "3", "2", "1", "--exhaustive", "--trials", "0"]
+    assert main(args) == 0
+    assert "expectation >= f: PASS" in capsys.readouterr().out
+
+
 def test_construct_xlrc_zero_overlap_matches_wzl(tmp_path, capsys):
     a = tmp_path / "a.txt"
     b = tmp_path / "b.txt"

@@ -23,12 +23,19 @@ from lrckit import (
     trial_permutation,
 )
 from lrckit import recovery_graph
-from lrckit.recovery_graph import _colors, _member_table, _walks_descend
+from lrckit.recovery_graph import (
+    _colors,
+    _member_table,
+    _trial_ranks,
+    _walks_descend,
+)
 from oracles import (
     colors_by_rule,
     expected_colored_fraction_by_simulation,
     members_by_color,
+    monte_carlo_by_rule,
     mono_walks_acyclic,
+    seeded_permutation,
 )
 
 # Unequal numbers of sets, unequal set sizes, and vertex 3 with no sets.
@@ -44,6 +51,27 @@ RAGGED = RecoveringFamily(
         (frozenset({1, 2, 3, 4, 5, 6}),),
     ),
 )
+
+
+def _ragged_224() -> RecoveringFamily:
+    """xlrc(5,3,3)'s canonical family with seeded damage: some vertices lose
+    every set, some lose their last set, some sets lose members."""
+    rng = np.random.default_rng(31)
+    sets_by_coordinate = []
+    for sets in canonical_family(build_xlrc(5, 3, 3)).sets_by_coordinate:
+        cut = rng.integers(0, 4)
+        if cut == 0:
+            sets = ()
+        elif cut == 1:
+            sets = sets[:-1]
+        elif cut == 2:
+            sets = tuple(frozenset(sorted(s)[: rng.integers(1, len(s) + 1)]) for s in sets)
+        sets_by_coordinate.append(tuple(sets))
+    assert {len(sets) for sets in sets_by_coordinate} == {0, 2, 3}
+    return RecoveringFamily(n=224, sets_by_coordinate=tuple(sets_by_coordinate))
+
+
+RAGGED_224 = _ragged_224()
 
 
 def _small_setup():
@@ -344,8 +372,9 @@ def test_exhaustive_expectation_ragged_family():
         canonical_family(build_xlrc(2, 2, 1, convention="complement")),
         canonical_family(build_xlrc(5, 3, 3)),
         RAGGED,
+        RAGGED_224,
     ],
-    ids=["n12", "n224", "ragged"],
+    ids=["n12", "n224", "ragged", "ragged224"],
 )
 def test_walks_descend_agrees_with_dfs(family):
     table = _member_table(family)
@@ -369,6 +398,32 @@ def test_walks_descend_agrees_with_dfs(family):
     assert cyclic > 0
 
 
+@pytest.mark.parametrize("family", [RAGGED, RAGGED_224], ids=["ragged", "ragged224"])
+def test_walks_descend_reads_every_member(family):
+    # one colored vertex per row, ranked just above its own-color set, or
+    # above all of that set but one member, which ranks just above it
+    n = family.n
+    table = _member_table(family)
+    ranks, colors, expected = [], [], []
+    with_sets = [v for v, sets in enumerate(family.sets_by_coordinate) if sets]
+    for v in with_sets[:6]:
+        for color, members in enumerate(family.sets_by_coordinate[v], start=1):
+            for top in [None, *members]:
+                order = [m - 1 for m in members if m != top] + [v]
+                order += [top - 1] if top else []
+                order += [u for u in range(n) if u not in order]
+                row = np.empty(n, dtype=np.int64)
+                row[order] = np.arange(1, n + 1)
+                ranks.append(row)
+                colors.append(np.where(np.arange(n) == v, color, 0))
+                expected.append(top is None)
+    for start in range(0, len(ranks), 16):
+        got = _walks_descend(
+            table, np.array(ranks[start : start + 16]), np.array(colors[start : start + 16])
+        )
+        assert got.tolist() == expected[start : start + 16]
+
+
 def test_colorings_never_cycle():
     code = build_xlrc(2, 2, 1, convention="complement")
     family = canonical_family(code)
@@ -376,3 +431,61 @@ def test_colorings_never_cycle():
     stats = monte_carlo_colored_fraction(graph, family, 300, 123)
     assert stats.walk_failures == 0
     assert stats.mean >= float(f_value(5, 2, 1)) - 3 * stats.stderr
+
+
+# Seeds of 1 to 4 uint32 words; 2**96 + 1 with k makes more entropy words
+# than SeedSequence's pool of 4.
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**96 + 1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 65, 224])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_trial_ranks_match_default_rng(monkeypatch, seed, n):
+    # the spot check always passes, so every row comes from the fast path
+    monkeypatch.setattr(recovery_graph, "_spot_check", lambda *args: True)
+    for ks in (range(0, 40), range(2**32 - 3, 2**32 + 3), range(2**64 - 2, 2**64 + 1)):
+        expected = np.stack([seeded_permutation(seed, k, n) for k in ks])
+        assert np.array_equal(_trial_ranks(seed, ks, n), expected)
+
+
+def test_trial_ranks_fall_back_when_the_stream_changes(monkeypatch):
+    # a wrong PCG64 multiplier stands in for a numpy release that seeds
+    # differently; the spot check must send every batch through default_rng,
+    # also at n = 2, where a wrong row matches the right one half the time
+    monkeypatch.setattr(recovery_graph, "_PCG_MULT", 3)
+    ks = range(2**32 - 20, 2**32 + 20)
+    for n in (2, 12):
+        for seed in (0, 1, 5):
+            expected = np.stack([seeded_permutation(seed, k, n) for k in ks])
+            assert np.array_equal(_trial_ranks(seed, ks, n), expected)
+    monkeypatch.setattr(recovery_graph, "_spot_check", lambda *args: True)
+    assert not np.array_equal(_trial_ranks(5, ks, 12), expected)
+
+
+@pytest.mark.parametrize(
+    "family, trials, seed",
+    [
+        (canonical_family(build_xlrc(2, 2, 1, convention="complement")), 400, 0),
+        (RAGGED, 900, 2**32 + 1),
+        (RAGGED_224, 60, 8),
+    ],
+    ids=["n12", "ragged", "ragged224"],
+)
+@pytest.mark.parametrize("spot_check", ["real", "always-fails"])
+def test_monte_carlo_matches_rule_oracle(monkeypatch, family, trials, seed, spot_check):
+    if spot_check == "always-fails":
+        monkeypatch.setattr(recovery_graph, "_spot_check", lambda *args: False)
+    stats = monte_carlo_colored_fraction(build_graph(family), family, trials, seed)
+    mean, stderr = monte_carlo_by_rule(family.sets_by_coordinate, family.n, trials, seed)
+    assert (stats.mean.hex(), stats.stderr.hex()) == (mean.hex(), stderr.hex())
+    assert (stats.trials, stats.walk_failures) == (trials, 0)
+
+
+def test_negative_seed_or_trial_is_invalid():
+    _, family, graph = _small_setup()
+    for seed, trial in ((-1, 0), (0, -1), (-(2**40), 3)):
+        with pytest.raises(InvalidParams):
+            trial_permutation(seed, trial, 6)
+    with pytest.raises(InvalidParams):
+        monte_carlo_colored_fraction(graph, family, 10, -1)
+    assert issubclass(InvalidParams, ValueError)
