@@ -288,23 +288,27 @@ def cmd_graph(args: argparse.Namespace) -> int:
     family = discover_family(h, args.r, args.t, args.x)
     graph = build_graph(family)
     threshold = f_value(args.r, args.t, args.x)
-    print(_fraction_line(f"f({args.r},{args.t},{args.x})", threshold))
-    ok = True
+    # The result comes before the first line, so a refused run prints nothing.
     if args.exhaustive:
         exact = exhaustive_expected_fraction(graph, family)
-        print(_fraction_line("exact expected colored fraction", exact))
-        bound_ok = exact >= threshold
-        print(f"expectation >= f: {'PASS' if bound_ok else 'FAIL'}")
-        ok = ok and bound_ok
+        ok = exact >= threshold
+        lines = [
+            _fraction_line("exact expected colored fraction", exact),
+            f"expectation >= f: {'PASS' if ok else 'FAIL'}",
+        ]
     else:
         stats = monte_carlo_colored_fraction(graph, family, args.trials, args.seed)
-        print(f"trials={stats.trials} seed={args.seed}")
-        print(f"colored fraction: mean={stats.mean:.6f} stderr={stats.stderr:.6f}")
         bound_ok = stats.mean >= float(threshold) - 3 * stats.stderr
-        print(f"mean >= f - 3*stderr: {'PASS' if bound_ok else 'FAIL'}")
         acyclic = stats.trials - stats.walk_failures
-        print(f"monochromatic walks acyclic: {acyclic}/{stats.trials}")
-        ok = ok and bound_ok and stats.walk_failures == 0
+        lines = [
+            f"trials={stats.trials} seed={args.seed}",
+            f"colored fraction: mean={stats.mean:.6f} stderr={stats.stderr:.6f}",
+            f"mean >= f - 3*stderr: {'PASS' if bound_ok else 'FAIL'}",
+            f"monochromatic walks acyclic: {acyclic}/{stats.trials}",
+        ]
+        ok = bound_ok and stats.walk_failures == 0
+    print(_fraction_line(f"f({args.r},{args.t},{args.x})", threshold))
+    print("\n".join(lines))
     if graph.n <= _SWEEP_VERTEX_CAP:
         perms = min(_SWEEP_PERMUTATIONS, args.trials) if not args.exhaustive else _SWEEP_PERMUTATIONS
         passed, total = _structural_sweep(graph, family, args.seed, perms)

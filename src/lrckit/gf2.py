@@ -119,14 +119,13 @@ def _as_array(matrix: BitMatrix | np.ndarray | Sequence) -> np.ndarray:
     return a
 
 
-def _rref(a: np.ndarray, pivot_cols: int | None = None) -> tuple[np.ndarray, tuple[int, ...]]:
-    """In-place reduced row echelon form; pivots limited to the first
-    ``pivot_cols`` columns (all columns if None). Returns (a, pivot tuple)."""
+def _rref(a: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    """In-place reduced row echelon form, columns eliminated left to right.
+    Returns (a, pivot tuple)."""
     rows, cols = a.shape
-    limit = cols if pivot_cols is None else pivot_cols
     pivots: list[int] = []
     r = 0
-    for c in range(limit):
+    for c in range(cols):
         if r == rows:
             break
         hits = np.nonzero(a[r:, c])[0]
@@ -261,16 +260,14 @@ def solve(a: BitMatrix | np.ndarray, b: Sequence[int] | np.ndarray) -> np.ndarra
     rhs = np.asarray(b, dtype=np.uint8).reshape(-1, 1)
     if rhs.shape[0] != coeff.shape[0]:
         raise InvalidParams("right-hand side length does not match row count")
-    aug = np.hstack([coeff.copy(), rhs])
     n = coeff.shape[1]
-    reduced, pivots = _rref(aug, pivot_cols=n)
-    nrank = len(pivots)
-    # Inconsistent iff some zero-coefficient row still demands a 1.
-    if np.any(reduced[nrank:, n]):
+    reduced, pivots = _rref(np.hstack([coeff, rhs]))
+    # The right-hand column is eliminated last, so it takes a pivot iff some
+    # row reduces to 0 = 1.
+    if pivots and pivots[-1] == n:
         return None
     x = np.zeros(n, dtype=np.uint8)
-    for ri, p in enumerate(pivots):
-        x[p] = reduced[ri, n]
+    x[list(pivots)] = reduced[: len(pivots), n]
     return x
 
 
@@ -282,8 +279,10 @@ def recovery_parity_word(
 
     ``target`` and ``helpers`` are 0-based column indices. Such a word
     certifies that coordinate ``target`` of every codeword is the XOR of the
-    coordinates in w's support minus target. None is returned only when the
-    linear system for w is inconsistent, so no such word exists.
+    coordinates in w's support minus target. The first row of H that
+    qualifies is returned as is; failing that, w comes from one solve over
+    the rows. None is returned only when the linear system for w is
+    inconsistent, so no such word exists.
     """
     a = _as_array(matrix)
     n = a.shape[1]
@@ -294,14 +293,13 @@ def recovery_parity_word(
     allowed = np.zeros(n, dtype=bool)
     allowed[list(helpers)] = True
     allowed[target] = True
-    # Fast path: a single row of H already works.
-    for i in range(a.shape[0]):
-        row = a[i]
-        if row[target] and not np.any(row & ~allowed):
-            return row.copy()
+    outside = np.flatnonzero(~allowed)
+    # Fast path: the first row of H that already works.
+    fits = (a[:, target] == 1) & ~a[:, outside].any(axis=1)
+    if fits.any():
+        return a[fits.argmax()].copy()
     # Otherwise solve for a combination u of rows: zero outside the allowed
     # columns, one at the target.
-    outside = np.nonzero(~allowed)[0]
     system = np.vstack([a[:, outside].T, a[:, target][None, :]])
     rhs = np.zeros(outside.size + 1, dtype=np.uint8)
     rhs[-1] = 1

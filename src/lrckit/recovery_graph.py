@@ -53,12 +53,13 @@ EXHAUSTIVE_VERTEX_CAP = 8
 
 @dataclass(frozen=True)
 class RecoveryGraph:
-    """Directed colored multigraph; an edge (i, m, l) says m belongs to the
-    l-th recovering set of i. Vertices and colors are 1-based."""
+    """Shape of the directed colored multigraph of a family: ``n`` vertices
+    and ``t`` colors, the most recovering sets of any vertex. Its edges, m
+    in the l-th recovering set of i, are read from the family itself.
+    Vertices and colors are 1-based."""
 
     n: int
     t: int
-    edges: frozenset[tuple[int, int, int]]
 
 
 @dataclass(frozen=True)
@@ -84,16 +85,10 @@ class MonteCarloStats:
 
 
 def build_graph(family: RecoveringFamily) -> RecoveryGraph:
-    edges = set()
-    t = 0
-    for i, sets in enumerate(family.sets_by_coordinate, start=1):
-        t = max(t, len(sets))
-        for l, s in enumerate(sets, start=1):
-            for m in s:
-                edges.add((i, m, l))
+    t = max(len(sets) for sets in family.sets_by_coordinate)
     if t == 0:
         raise InvalidParams("family has no recovering sets at all")
-    return RecoveryGraph(n=family.n, t=t, edges=frozenset(edges))
+    return RecoveryGraph(n=family.n, t=t)
 
 
 # Scratch entries a kernel call may gather per member column; a block holds

@@ -99,7 +99,7 @@ class VerificationReport:
 
 
 def _low_weight_words(h: BitMatrix, r: int, mode: str) -> np.ndarray:
-    """Packed nonzero dual words of weight <= r + 1, per search mode.
+    """Packed nonzero dual words of weight <= r + 1, per resolved search mode.
 
     rows-only: the rows themselves. bounded-combos: XORs of up to 3 rows.
     dual-enum: the entire row space (requires rank <= DUAL_ENUM_RANK_CAP),
@@ -111,15 +111,13 @@ def _low_weight_words(h: BitMatrix, r: int, mode: str) -> np.ndarray:
         blocks = [_pack_rows(h.array)]
     elif mode == BOUNDED_COMBOS:
         blocks = _row_combinations(_pack_rows(h.array))
-    elif mode == DUAL_ENUM:
+    else:
         reduced, pivots = rref(h)
         if len(pivots) > DUAL_ENUM_RANK_CAP:
             raise DimensionTooLarge(
                 f"dual enumeration needs rank <= {DUAL_ENUM_RANK_CAP}, got {len(pivots)}"
             )
         blocks = _span_blocks(_pack_rows(reduced.array[: len(pivots)]))
-    else:
-        raise InvalidParams(f"unknown search mode {mode!r}")
     kept = []
     for block in blocks:
         weights = np.bitwise_count(block).sum(axis=1, dtype=np.int64)
@@ -139,26 +137,19 @@ def _row_combinations(rows: np.ndarray) -> Iterator[np.ndarray]:
         yield later[a] ^ later[b] ^ rows[first]
 
 
-def _candidates_at(
-    words: np.ndarray, n: int, coordinates: range
-) -> list[tuple[frozenset[int], ...]]:
-    """Per 1-based coordinate i: the supports of the packed words through i,
-    minus i, deduplicated and sorted lexicographically."""
-    found: dict[int, set[frozenset[int]]] = {i: set() for i in coordinates}
-    for bits in _unpack_rows(words, n):
-        support = frozenset(int(j) + 1 for j in np.flatnonzero(bits))
-        for i in support & found.keys():
-            found[i].add(support - {i})
-    return [tuple(sorted(found[i], key=sorted)) for i in coordinates]
-
-
 def _candidate_table(
     h: BitMatrix, r: int, mode: str
 ) -> tuple[tuple[frozenset[int], ...], ...]:
     """Candidate recovering sets of every coordinate, as candidate_sets
-    returns them, from one pass over the low-weight dual words."""
-    words = _low_weight_words(h, r, mode)
-    return tuple(_candidates_at(words, h.cols, range(1, h.cols + 1)))
+    returns them, from one pass over the low-weight dual words of the
+    resolved ``mode``."""
+    n = h.cols
+    found: list[set[frozenset[int]]] = [set() for _ in range(n)]
+    for bits in _unpack_rows(_low_weight_words(h, r, mode), n):
+        support = frozenset(int(j) + 1 for j in np.flatnonzero(bits))
+        for i in support:
+            found[i - 1].add(support - {i})
+    return tuple(tuple(sorted(sets, key=sorted)) for sets in found)
 
 
 def candidate_sets(
@@ -166,13 +157,11 @@ def candidate_sets(
 ) -> tuple[frozenset[int], ...]:
     """Candidate recovering sets for 1-based coordinate i: supports of dual
     words of weight <= r + 1 containing i, minus i itself. Deduplicated and
-    sorted lexicographically."""
+    sorted lexicographically. This is row i of the table discover_family
+    searches; AUTO resolves as in resolve_search_mode."""
     if not 1 <= i <= h.cols:
         raise InvalidParams(f"coordinate {i} out of range 1..{h.cols}")
-    words = _low_weight_words(h, r, mode)
-    limb, bit = divmod(i - 1, 64)
-    through = (words[:, limb] >> np.uint64(bit)) & np.uint64(1) == 1
-    return _candidates_at(words[through], h.cols, range(i, i + 1))[0]
+    return _candidate_table(h, r, resolve_search_mode(h, mode))[i - 1]
 
 
 def resolve_search_mode(h: BitMatrix, mode: str) -> str:
@@ -272,11 +261,11 @@ def verify_family(
     S = R + {i} holds the unit word at i, iff no word of its dual, the dual
     code of H shortened to S, has a 1 at i. ``recovery_parity_word``
     returns None only when the linear system for such a word is
-    inconsistent, so each None entry of the realizing-word table is a
-    separation failure. With ``deep`` and dimension <= DEEP_CHECK_DIM_CAP,
-    those entries are also reported as separation failures and
-    ``deep_checked`` is set; no codeword is enumerated. Failures are data,
-    not errors.
+    inconsistent, so each None entry of the realizing-word table is one
+    defect, reported once as "admits no parity word", with or without
+    ``deep``. ``deep`` only sets ``deep_checked``, when the dimension is at
+    most DEEP_CHECK_DIM_CAP: the separation verdict is that same entry, and
+    no codeword is enumerated. Failures are data, not errors.
     """
     if family.n != h.cols:
         raise InvalidParams("family length does not match matrix columns")
@@ -302,8 +291,6 @@ def verify_family(
         for j, helpers in enumerate(table[i - 1], start=1):
             if helpers is None:
                 failures.append((i, f"set {j} admits no parity word through {i}"))
-                if deep_checked:
-                    failures.append((i, f"set {j} fails codeword separation"))
         checks.append(
             CoordinateCheck(
                 coordinate=i,

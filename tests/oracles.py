@@ -85,6 +85,54 @@ def candidates_by_brute_force(
     return tuple(sorted(found, key=sorted))
 
 
+def solve_by_pivot_limit(a, b) -> np.ndarray | None:
+    """One solution x of A x = b over GF(2) with every free variable zero,
+    or None. Pivots are taken among the coefficient columns only, then
+    consistency is read off the right-hand column of the rows below the
+    rank."""
+    coeff = np.asarray(a, dtype=np.uint8)
+    aug = np.hstack([coeff, np.asarray(b, dtype=np.uint8).reshape(-1, 1)])
+    rows, n = coeff.shape
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        hits = r + np.flatnonzero(aug[r:, c])
+        if not hits.size:
+            continue
+        aug[[r, hits[0]]] = aug[[hits[0], r]]
+        others = np.flatnonzero(aug[:, c])
+        aug[others[others != r]] ^= aug[r]
+        pivots.append(c)
+    if aug[len(pivots) :, n].any():
+        return None
+    x = np.zeros(n, dtype=np.uint8)
+    for k, c in enumerate(pivots):
+        x[c] = aug[k, n]
+    return x
+
+
+def parity_word_by_row_loop(matrix: BitMatrix, target: int, helpers) -> np.ndarray | None:
+    """recovery_parity_word by its two steps read literally: the first row
+    of H, scanned one at a time, with a 1 at ``target`` and no 1 outside
+    helpers + {target}; failing that, the row combination that
+    solve_by_pivot_limit finds. 0-based columns."""
+    a = matrix.array
+    allowed = np.zeros(matrix.cols, dtype=bool)
+    allowed[list(helpers)] = True
+    allowed[target] = True
+    for row in a:
+        if row[target] and not np.any(row & ~allowed):
+            return row.copy()
+    outside = np.flatnonzero(~allowed)
+    system = np.vstack([a[:, outside].T, a[:, target][None, :]])
+    rhs = np.zeros(outside.size + 1, dtype=np.uint8)
+    rhs[-1] = 1
+    u = solve_by_pivot_limit(system, rhs)
+    if u is None:
+        return None
+    return (u.astype(np.int64) @ a % 2).astype(np.uint8)
+
+
 def codewords_by_brute_force(matrix: BitMatrix) -> np.ndarray:
     """Every vector c of {0,1}^n with H c = 0; n <= 16."""
     if matrix.cols > 16:

@@ -175,7 +175,9 @@ def test_graph_exhaustive_cap(tmp_path, capsys):
     assert main(["construct", "wzl", "3", "2", "--out", str(tmp_path / "h.txt")]) == 0
     capsys.readouterr()
     assert main(["graph", str(tmp_path / "h.txt"), "3", "2", "0", "--exhaustive"]) == 2
-    assert "error:" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert captured.out == ""
 
 
 def test_simulate(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from lrckit import (
     BitMatrix,
     DimensionTooLarge,
     InvalidParams,
+    build_xlrc,
+    canonical_family,
     kronecker,
     min_distance,
     nullspace_basis,
@@ -17,6 +20,7 @@ from lrckit import (
 )
 from lrckit.gf2 import iter_codeword_blocks
 from known_matrices import WZL_42_INCIDENCE
+from oracles import parity_word_by_row_loop, solve_by_pivot_limit
 
 
 def _codewords(h):
@@ -258,3 +262,104 @@ def test_recovery_parity_word_rejects_helpers_out_of_range():
     for helpers in ((1, 2, -1), (1, 2, 6), (-6,)):
         with pytest.raises(InvalidParams):
             recovery_parity_word(m, 0, helpers)
+
+
+def _mixed_matrix(n, seed, rows=12, weight=4):
+    """Sparse rows on n columns, mixed by a unit lower-triangular matrix (so
+    the first rows stay sparse) and column-permuted."""
+    rng = np.random.default_rng((seed, n))
+    base = np.zeros((rows, n), dtype=np.int64)
+    for k in range(rows):
+        base[k, rng.choice(n, size=weight, replace=False)] = 1
+    lower = rng.integers(0, 2, (rows, rows)) & rng.integers(0, 2, (rows, rows))
+    mixing = np.tril(lower, -1) + np.eye(rows, dtype=np.int64)
+    return BitMatrix(((mixing @ base) % 2)[:, rng.permutation(n)])
+
+
+def _same_word(got, want, rows):
+    """Assert recovery_parity_word matches the oracle; name the path taken."""
+    if want is None:
+        assert got is None
+        return "none"
+    assert got is not None and got.dtype == np.uint8
+    assert np.array_equal(got, want)
+    return "row" if got.tobytes() in rows else "combination"
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 224])
+def test_recovery_parity_word_matches_row_loop_oracle(n):
+    h = _mixed_matrix(n, seed=8)
+    a = h.array
+    rows = {row.tobytes() for row in a}
+    rng = np.random.default_rng((9, n))
+    paths = Counter()
+    for _ in range(200):
+        target = int(rng.integers(n))
+        word = np.bitwise_xor.reduce(a[rng.choice(h.rows, size=rng.integers(1, 4), replace=False)])
+        through = np.flatnonzero(a[:, target])
+        if not word[target] and through.size:
+            word = word ^ a[rng.choice(through)]
+        helpers = [int(j) for j in np.flatnonzero(word) if j != target]
+        if helpers and rng.integers(3) == 0:
+            helpers.pop(int(rng.integers(len(helpers))))
+        elif rng.integers(2):
+            helpers += [int(j) for j in rng.choice(n, size=2) if j != target]
+        got = recovery_parity_word(h, target, helpers)
+        paths[_same_word(got, parity_word_by_row_loop(h, target, helpers), rows)] += 1
+    assert set(paths) == {"none", "row", "combination"}
+
+
+def _cut(sets_by_coordinate, rng):
+    """Drop one member of the first set at a third of the coordinates."""
+    sets = [list(s) for s in sets_by_coordinate]
+    for i in rng.choice(len(sets), size=max(1, len(sets) // 3), replace=False):
+        members = sorted(sets[i][0])
+        sets[i][0] = frozenset(members) - {members[rng.integers(len(members))]}
+    return sets
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [(2, 2, 1, "complement"), (1, 3, 1, "incidence"), (4, 3, 0, "incidence"),
+     (5, 3, 3, "incidence")],
+)
+def test_recovery_parity_word_matches_oracle_on_families(spec):
+    code = build_xlrc(*spec[:3], convention=spec[3])
+    rows = code.H.rows
+    rng = np.random.default_rng((10, *spec[:3]))
+    # A seeded row mixing keeps the code but hides most sets from single rows.
+    mixing = np.tril(rng.integers(0, 2, (rows, rows)), -1) + np.eye(rows, dtype=int)
+    h = BitMatrix((mixing @ code.H.array) % 2)
+    words = {row.tobytes() for row in h.array}
+    canonical = canonical_family(code).sets_by_coordinate
+    cut = _cut(canonical, rng)
+    for sets_by_coordinate, expected in ((canonical, {"row", "combination"}), (cut, {"none"})):
+        paths = Counter()
+        for i, sets in enumerate(sets_by_coordinate):
+            for s in sets:
+                helpers = [e - 1 for e in s]
+                got = recovery_parity_word(h, i, helpers)
+                paths[_same_word(got, parity_word_by_row_loop(h, i, helpers), words)] += 1
+        assert expected <= set(paths)
+
+
+def test_solve_matches_pivot_limited_oracle():
+    rng = np.random.default_rng(11)
+    seen = Counter()
+    for _ in range(300):
+        rows, inner, cols = rng.integers(1, 12, size=3)
+        # A product of random factors, so many systems are rank-deficient.
+        a = (rng.integers(0, 2, (rows, inner)) @ rng.integers(0, 2, (inner, cols))) % 2
+        if rng.integers(2):
+            b = (a @ rng.integers(0, 2, cols)) % 2
+        else:
+            b = rng.integers(0, 2, rows)
+        got = solve(a, b)
+        want = solve_by_pivot_limit(a, b)
+        if want is None:
+            assert got is None
+        else:
+            assert got is not None and np.array_equal(got, want)
+            assert np.array_equal((a @ got) % 2, b)
+        seen[want is None] += 1
+    assert seen[True] and seen[False]

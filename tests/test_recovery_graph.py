@@ -80,16 +80,11 @@ def _small_setup():
     return code, family, build_graph(family)
 
 
-def test_build_graph_edges():
-    _, family, graph = _small_setup()
-    assert graph.n == 6
-    assert graph.t == 2
-    expected = sum(len(s) for sets in family.sets_by_coordinate for s in sets)
-    assert len(graph.edges) == expected
-    for i, sets in enumerate(family.sets_by_coordinate, start=1):
-        for l, s in enumerate(sets, start=1):
-            for m in s:
-                assert (i, m, l) in graph.edges
+def test_build_graph_shape():
+    _, _, graph = _small_setup()
+    assert (graph.n, graph.t) == (6, 2)
+    ragged = build_graph(RAGGED)
+    assert (ragged.n, ragged.t) == (7, 3)
 
 
 def test_build_graph_requires_sets():
@@ -98,29 +93,21 @@ def test_build_graph_requires_sets():
         build_graph(empty)
 
 
-def test_build_graph_single_edge():
-    family = RecoveringFamily(n=2, sets_by_coordinate=((frozenset({2}),), ()))
-    graph = build_graph(family)
-    assert graph.edges == frozenset({(1, 2, 1)})
-
-
 def test_vertex_degrees_disjoint_sets():
     h = build_wzl(4, 2).H
-    family = discover_family(h, 2, 2, 0)
-    graph = build_graph(family)
+    sets = discover_family(h, 2, 2, 0).sets_by_coordinate
     for v in range(1, 7):
-        assert len({m for i, m, _ in graph.edges if i == v}) == 4
-        assert len({i for i, m, _ in graph.edges if m == v}) == 4
+        assert len(frozenset().union(*sets[v - 1])) == 4
+        assert sum(any(v in s for s in sets_i) for sets_i in sets) == 4
 
 
 def test_vertex_degrees_intersecting_sets():
     code = build_xlrc(2, 2, 1, convention="complement")
-    graph = build_graph(canonical_family(code))
+    sets = canonical_family(code).sets_by_coordinate
     for v in range(1, 13):
-        out = [(m, l) for i, m, l in graph.edges if i == v]
         # two size-5 sets meeting in one coordinate: 10 colored edges, 9 targets
-        assert len(out) == 10
-        assert len({m for m, _ in out}) == 9
+        assert sum(len(s) for s in sets[v - 1]) == 10
+        assert len(frozenset().union(*sets[v - 1])) == 9
 
 
 def test_color_vertices_identity_permutation():

@@ -120,6 +120,23 @@ def test_candidate_sets_match_brute_force_across_limbs(n):
         assert seen > 0
 
 
+def test_candidate_sets_auto_is_the_resolved_mode():
+    code = build_xlrc(5, 3, 0)
+    rows = code.H.rows
+    rng = np.random.default_rng(56)
+    mixing = np.tril(rng.integers(0, 2, (rows, rows)), -1) + np.eye(rows, dtype=int)
+    mixed = BitMatrix((mixing @ code.H.array) % 2)
+    resolved = set()
+    for h, r in ((BitMatrix(WZL_42_INCIDENCE), 4), (mixed, 5)):
+        mode = resolve_search_mode(h, AUTO)
+        resolved.add(mode)
+        auto = [candidate_sets(h, i, r, AUTO) for i in range(1, h.cols + 1)]
+        assert auto == [candidate_sets(h, i, r, mode) for i in range(1, h.cols + 1)]
+        # The resolved mode sees words the rows alone do not.
+        assert auto != [candidate_sets(h, i, r, ROWS_ONLY) for i in range(1, h.cols + 1)]
+    assert resolved == {DUAL_ENUM, BOUNDED_COMBOS}
+
+
 def test_candidate_sets_rejects_unknown_mode():
     with pytest.raises(InvalidParams):
         candidate_sets(BitMatrix(WZL_42_INCIDENCE), 1, 2, mode="every-word")
@@ -262,7 +279,8 @@ def test_deep_check_flags_bad_set():
     family = _with_first_coordinate(base, [{2}, {4, 5}])
     report = verify_family(h, family, 2, 2, 0, deep=True)
     assert report.deep_checked
-    assert (1, "set 1 fails codeword separation") in report.failures
+    # One defect, one entry: the separation verdict is the structural one.
+    assert report.failures == ((1, "set 1 admits no parity word through 1"),)
     assert not recoverable_by_pairs(h, 1, {2})
 
 
@@ -322,7 +340,7 @@ def test_deep_check_across_limb_boundary():
 
     report = verify_family(h, family, 2, 1, 0, deep=True)
     assert report.deep_checked
-    flagged = {i for i, reason in report.failures if "codeword separation" in reason}
+    flagged = {i for i, reason in report.failures if "admits no parity word" in reason}
     assert flagged == {bad_i + 1}
     words = span_by_brute_force(g)
     for i, (s,) in enumerate(family.sets_by_coordinate, start=1):
@@ -345,21 +363,17 @@ def test_deep_failures_pair_with_structural_on_cut_families(spec):
 
     report = verify_family(code.H, family, p.r, p.t, p.x, deep=True)
     assert report.deep_checked
-
-    def failed(reason):
-        return [
-            (i, j)
-            for i, text in report.failures
-            for j in range(1, p.t + 1)
-            if text == reason.format(i=i, j=j)
-        ]
-
-    deep = failed("set {j} fails codeword separation")
-    structural = failed("set {j} admits no parity word through {i}")
-    assert deep
-    assert sorted(deep) == sorted(structural)
+    # deep adds no entries: each cut set is reported once, structurally.
+    assert report.failures == verify_family(code.H, family, p.r, p.t, p.x).failures
+    structural = [
+        (i, j)
+        for i, text in report.failures
+        for j in range(1, p.t + 1)
+        if text == f"set {j} admits no parity word through {i}"
+    ]
+    assert structural
     if p.n <= 16:
         words = codewords_by_brute_force(code.H)
         for i, sets_i in enumerate(family.sets_by_coordinate, start=1):
             for j, s in enumerate(sets_i, start=1):
-                assert separated_by(words, i, s) == ((i, j) not in deep)
+                assert separated_by(words, i, s) == ((i, j) not in structural)
