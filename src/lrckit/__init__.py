@@ -31,7 +31,6 @@ from .errors import (
 from .gf2 import (
     BitMatrix,
     kronecker,
-    min_distance,
     nullspace_basis,
     rank,
     recovery_parity_word,
@@ -59,7 +58,7 @@ from .verifier import (
     discover_family,
     verify_family,
 )
-from .wzl import WzlCode, build_wzl, check_recursion, complement_columns, wzl_params
+from .wzl import WzlCode, build_wzl, check_recursion, complement_columns
 from .xlrc import XlrcCode, build_xlrc, canonical_family, map_params
 
 __version__ = "0.1.0"
@@ -101,7 +100,6 @@ __all__ = [
     "f_value",
     "kronecker",
     "map_params",
-    "min_distance",
     "monte_carlo_colored_fraction",
     "n_lower",
     "n_upper",
@@ -119,5 +117,4 @@ __all__ = [
     "table2",
     "trial_permutation",
     "verify_family",
-    "wzl_params",
 ]

@@ -175,7 +175,6 @@ class RateComparisonRow:
 def table2() -> tuple[RateComparisonRow, ...]:
     """Disjoint-set construction rate and bound (x = 0) against the duplicated
     construction rate and bound (x = 1) on the standard odd-r grid."""
-    from .wzl import wzl_params
     from .xlrc import map_params
 
     rows = []
@@ -187,7 +186,7 @@ def table2() -> tuple[RateComparisonRow, ...]:
             RateComparisonRow(
                 r=r,
                 t=t,
-                wzl_rate=wzl_params(r, t).rate,
+                wzl_rate=map_params(r, t, 0).rate,
                 upper_x0=rate_upper(r, t, 0),
                 construction_x1=map_params(seed_r, t, 1).rate,
                 upper_x1=rate_upper(r, t, 1),

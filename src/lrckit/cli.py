@@ -163,7 +163,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
     summary = [
         f"n={p.n} k={p.k} r={p.r} t={p.t} x={p.x}",
         f"rate {p.rate.numerator}/{p.rate.denominator} = {decimal4(p.rate)}",
-        f"d={p.d if p.d is not None else 'unknown'}",
+        f"d={p.d}",
     ]
     text = render_matrix(code.H)
     if args.out:

@@ -8,7 +8,6 @@ on rows packed into uint64 limbs and streams fixed-size blocks.
 
 from __future__ import annotations
 
-import math
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -17,24 +16,18 @@ from .errors import DimensionTooLarge, InvalidParams
 
 __all__ = [
     "ENUMERATION_CAP",
-    "INFINITE_DISTANCE",
     "BitMatrix",
     "rank",
     "rref",
     "nullspace_basis",
     "kronecker",
     "iter_codeword_blocks",
-    "min_distance",
     "solve",
     "recovery_parity_word",
 ]
 
 # Enumerating a code touches 2**dim words; past this the caller must opt in.
 ENUMERATION_CAP = 25
-
-# Minimum distance of the zero-dimensional code. Kept as a distinguished
-# non-integer so distance-bound comparisons cannot silently treat it as data.
-INFINITE_DISTANCE = math.inf
 
 _BLOCK_BITS = 16
 
@@ -45,13 +38,12 @@ class BitMatrix:
     __slots__ = ("_a",)
 
     def __init__(self, entries) -> None:
-        a = np.array(entries, dtype=np.uint8)
+        a = np.asarray(entries)
         if a.ndim != 2:
             raise InvalidParams("matrix entries must form a two-dimensional array")
         if a.shape[1] < 1:
             raise InvalidParams("matrix must have at least one column")
-        if a.size and a.max() > 1:
-            raise InvalidParams("matrix entries must be 0 or 1")
+        a = np.array(_binary(a, InvalidParams, "matrix entries must be 0 or 1"))
         a.setflags(write=False)
         self._a = a
 
@@ -108,6 +100,19 @@ class BitMatrix:
 
     def __repr__(self) -> str:
         return f"BitMatrix({self.rows}x{self.cols})"
+
+
+def _binary(a: np.ndarray, error: type[Exception], message: str) -> np.ndarray:
+    """``a`` as uint8, raising ``error(message)`` unless every entry equals 0
+    or 1. Bools and 0.0/1.0 pass; a uint8 array is returned as is after one
+    max."""
+    if a.dtype != np.uint8:
+        if not ((a == 0) | (a == 1)).all():
+            raise error(message)
+        return a.astype(np.uint8)
+    if a.size and a.max() > 1:
+        raise error(message)
+    return a
 
 
 def _as_array(matrix: BitMatrix | np.ndarray | Sequence) -> np.ndarray:
@@ -215,40 +220,18 @@ def _span_blocks(basis: np.ndarray) -> Iterator[np.ndarray]:
         yield low ^ offset
 
 
-def _codeword_blocks(a: np.ndarray, max_dim: int) -> Iterator[np.ndarray]:
-    """Packed codewords of the nullspace of H, as _span_blocks yields them;
-    raises DimensionTooLarge past ``max_dim`` before enumerating anything."""
-    basis = nullspace_basis(a).array
-    if basis.shape[0] > max_dim:
-        raise DimensionTooLarge(f"code dimension {basis.shape[0]} exceeds cap {max_dim}")
-    return _span_blocks(_pack_rows(basis))
-
-
 def iter_codeword_blocks(
     matrix: BitMatrix | np.ndarray, max_dim: int = ENUMERATION_CAP
 ) -> Iterator[np.ndarray]:
     """Yield the codewords of the nullspace of H in blocks of at most
-    2**_BLOCK_BITS rows, in information-vector order."""
+    2**_BLOCK_BITS rows, in information-vector order; raises
+    DimensionTooLarge past ``max_dim`` before enumerating anything."""
     a = _as_array(matrix)
-    for block in _codeword_blocks(a, max_dim):
+    basis = nullspace_basis(a).array
+    if basis.shape[0] > max_dim:
+        raise DimensionTooLarge(f"code dimension {basis.shape[0]} exceeds cap {max_dim}")
+    for block in _span_blocks(_pack_rows(basis)):
         yield _unpack_rows(block, a.shape[1])
-
-
-def min_distance(
-    matrix: BitMatrix | np.ndarray, max_dim: int = ENUMERATION_CAP
-) -> int | float:
-    """Minimum nonzero codeword weight, by full enumeration.
-
-    Returns INFINITE_DISTANCE for the zero-dimensional code.
-    """
-    a = _as_array(matrix)
-    best: int | float = INFINITE_DISTANCE
-    for block in _codeword_blocks(a, max_dim):
-        weights = np.bitwise_count(block).sum(axis=1, dtype=np.int64)
-        nonzero = weights[weights > 0]
-        if nonzero.size:
-            best = min(best, int(nonzero.min()))
-    return best
 
 
 def solve(a: BitMatrix | np.ndarray, b: Sequence[int] | np.ndarray) -> np.ndarray | None:

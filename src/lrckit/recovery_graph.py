@@ -212,6 +212,8 @@ def trial_permutation(seed: int, trial: int, n: int) -> np.ndarray:
     seeded with the pair (seed, trial). Independent of the trial order."""
     if seed < 0 or trial < 0:
         raise InvalidParams("seed and trial must be nonnegative")
+    if n < 0:
+        raise InvalidParams("permutation length must be nonnegative")
     return np.random.default_rng((seed, trial)).permutation(n) + 1
 
 

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import InvalidCodeword, InvalidParams
-from .gf2 import BitMatrix, nullspace_basis
+from .gf2 import BitMatrix, _binary, nullspace_basis
 from .verifier import RecoveringFamily, _realizing_helpers
 
 __all__ = ["RepairTrace", "systematic_encode", "simulate_repair"]
@@ -42,11 +42,10 @@ def systematic_encode(h: BitMatrix, message: Sequence[int]) -> np.ndarray:
     check: the message times the systematic nullspace basis. The zero message
     encodes to the zero codeword."""
     basis = nullspace_basis(h).array
-    msg = np.asarray(message, dtype=np.uint8)
+    msg = np.asarray(message)
     if msg.ndim != 1 or msg.shape[0] != basis.shape[0]:
         raise InvalidParams(f"message must have length {basis.shape[0]}")
-    if msg.size and msg.max() > 1:
-        raise InvalidParams("message entries must be 0 or 1")
+    msg = _binary(msg, InvalidParams, "message entries must be 0 or 1")
     # uint8 sums wrap modulo 256, an even number, so their parity is exact.
     return (msg @ basis) & 1
 
@@ -66,11 +65,10 @@ def simulate_repair(
         raise InvalidParams("family length does not match matrix columns")
     if not 1 <= erased <= h.cols:
         raise InvalidParams(f"erased coordinate {erased} out of range 1..{h.cols}")
-    cw = np.asarray(codeword, dtype=np.uint8)
+    cw = np.asarray(codeword)
     if cw.ndim != 1 or cw.shape[0] != h.cols:
         raise InvalidParams(f"codeword must have length {h.cols}")
-    if cw.size and cw.max() > 1:
-        raise InvalidCodeword("codeword entries must be 0 or 1")
+    cw = _binary(cw, InvalidCodeword, "codeword entries must be 0 or 1")
     if np.any((h.array @ cw) & 1):
         raise InvalidCodeword("vector fails the parity checks")
     table, first_bad = _realizing_helpers(h, family)

@@ -9,7 +9,6 @@ availability t, and pairwise disjoint recovering sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -17,7 +16,6 @@ import numpy as np
 
 from .errors import InvalidParams
 from .gf2 import BitMatrix
-from .params import CodeParams
 
 __all__ = [
     "Label",
@@ -26,7 +24,6 @@ __all__ = [
     "build_wzl",
     "complement_columns",
     "check_recursion",
-    "wzl_params",
 ]
 
 # A label is a strictly increasing tuple of elements of {1..m}. Tuples compare
@@ -115,14 +112,3 @@ def check_recursion(m: int, t: int) -> bool:
     )
     bottom = np.hstack([np.eye(size, dtype=np.uint8), bottom_right])
     return np.array_equal(whole, np.vstack([top, bottom]))
-
-
-def wzl_params(r: int, t: int) -> CodeParams:
-    """Closed-form parameters of the construction with locality r and
-    availability t: n = C(r+t, t), k = n - C(r+t-1, t-1), rate r/(r+t),
-    minimum distance t + 1, disjoint recovering sets (x = 0)."""
-    if r < 1 or t < 1:
-        raise InvalidParams("locality and availability must be positive")
-    n = comb(r + t, t)
-    k = n - comb(r + t - 1, t - 1)
-    return CodeParams(n=n, k=k, r=r, t=t, x=0, rate=Fraction(r, r + t), d=t + 1)

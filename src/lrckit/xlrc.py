@@ -8,22 +8,19 @@ coordinate now pairwise intersect in its x sibling copies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import comb
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import InvalidParams
-from .gf2 import BitMatrix, kronecker, min_distance
+from .gf2 import BitMatrix, kronecker
 from .params import CodeParams
 from .verifier import RecoveringFamily
 from .wzl import WzlCode, build_wzl, complement_columns
 
-__all__ = ["DISTANCE_CAP", "XlrcCode", "map_params", "build_xlrc", "canonical_family"]
-
-# Compute the true minimum distance only up to this code dimension.
-DISTANCE_CAP = 16
+__all__ = ["XlrcCode", "map_params", "build_xlrc", "canonical_family"]
 
 
 @dataclass(frozen=True)
@@ -40,7 +37,20 @@ def map_params(r_tilde: int, t_tilde: int, x: int) -> CodeParams:
     """Parameters after duplicating the (r_tilde, t_tilde) seed x + 1 times:
     n = (x+1) C(m, t), k = n - C(m-1, t-1), r = (r_tilde+1)(x+1) - 1,
     availability t_tilde, overlap x. The rate equals
-    (r + (t-1)x) / (r + t + (t-1)x)."""
+    (r + (t-1)x) / (r + t + (t-1)x).
+
+    The minimum distance is d = 2 if x >= 1, else t + 1, where m = r_tilde +
+    t_tilde and t = t_tilde:
+
+    - x >= 1: a column and one of its sibling copies form a weight-2
+      codeword, and no column of H is zero (each has weight t >= 1).
+    - x = 0, d <= t + 1: take a (t+1)-subset T of {1..m} (m >= t + 1). The
+      t + 1 columns labelled by the t-subsets of T sum to zero, since each
+      (t-1)-subset of T lies in exactly two of them and no other row meets
+      them.
+    - x = 0, d >= t + 1: a codeword with a 1 at i has another 1 in each of
+      the t pairwise disjoint recovering sets of i.
+    """
     if r_tilde < 1 or t_tilde < 1:
         raise InvalidParams("seed locality and availability must be positive")
     if x < 0:
@@ -49,21 +59,18 @@ def map_params(r_tilde: int, t_tilde: int, x: int) -> CodeParams:
     n = (x + 1) * comb(m, t_tilde)
     k = n - comb(m - 1, t_tilde - 1)
     r = (r_tilde + 1) * (x + 1) - 1
-    return CodeParams(n=n, k=k, r=r, t=t_tilde, x=x, rate=Fraction(k, n))
+    d = 2 if x else t_tilde + 1
+    return CodeParams(n=n, k=k, r=r, t=t_tilde, x=x, rate=Fraction(k, n), d=d)
 
 
 def build_xlrc(
-    r_tilde: int,
-    t_tilde: int,
-    x: int,
-    convention: str = "incidence",
-    distance_cap: int = DISTANCE_CAP,
+    r_tilde: int, t_tilde: int, x: int, convention: str = "incidence"
 ) -> XlrcCode:
     """Build the duplicated code from the (r_tilde, t_tilde) seed.
 
     ``convention`` selects the seed's column labeling ("incidence" or
-    "complement"); the minimum distance is brute-forced when the dimension is
-    at most ``distance_cap``, else left unknown.
+    "complement"); the parameters, minimum distance included, come from
+    ``map_params``.
     """
     params = map_params(r_tilde, t_tilde, x)
     seed = build_wzl(r_tilde + t_tilde, t_tilde)
@@ -72,8 +79,6 @@ def build_xlrc(
     elif convention != "incidence":
         raise InvalidParams(f"unknown convention {convention!r}")
     h = kronecker(seed.H, BitMatrix.ones(1, x + 1))
-    if params.k <= distance_cap:
-        params = replace(params, d=int(min_distance(h)))
     return XlrcCode(base=seed, x=x, H=h, params=params)
 
 

@@ -1,17 +1,21 @@
 """Independent brute-force oracles used to cross-check the library.
 
 Everything here is deliberately naive: exhaustive search over canonical
-configurations, no shared code paths with the package.
+configurations, no shared code paths with the package. The one exception is
+min_distance, which streams codewords through the package's
+iter_codeword_blocks; that enumeration is itself checked against
+codewords_by_brute_force.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
-from math import sqrt
+from math import inf, sqrt
 
 import numpy as np
 
 from lrckit import BitMatrix
+from lrckit.gf2 import ENUMERATION_CAP, iter_codeword_blocks
 
 # Rows of H each search mode may combine: one, up to three, or all of them.
 _MODE_DEPTH = {"rows-only": 1, "bounded-combos": 3, "dual-enum": None}
@@ -45,6 +49,21 @@ def min_union_size(r: int, j: int, x: int) -> int:
             size = len(union2 | s3)
             best = size if best is None else min(best, size)
     assert best is not None
+    return best
+
+
+def min_distance(matrix, max_dim: int = ENUMERATION_CAP) -> int | float:
+    """Minimum nonzero codeword weight, by full enumeration.
+
+    Returns math.inf for the zero-dimensional code; raises DimensionTooLarge
+    past ``max_dim``.
+    """
+    best: int | float = inf
+    for block in iter_codeword_blocks(matrix, max_dim):
+        weights = block.sum(axis=1, dtype=np.int64)
+        nonzero = weights[weights > 0]
+        if nonzero.size:
+            best = min(best, int(nonzero.min()))
     return best
 
 

@@ -23,7 +23,6 @@ from lrckit import (
     exhaustive_expected_fraction,
     f_value,
     map_params,
-    min_distance,
     monte_carlo_colored_fraction,
     rank,
     rate_product,
@@ -35,6 +34,7 @@ from lrckit import (
     verify_family,
 )
 from known_matrices import XLRC_221_COMPLEMENT
+from oracles import min_distance
 
 TABLE1_EXPECTED = {
     (4, 2): ("0.7111", "0.7250", "0.7429", "0.7667"),
@@ -77,7 +77,7 @@ def _run(number: int, label: str, limit_s: float, check) -> None:
 
 @lru_cache(maxsize=None)
 def _grid_instance(rr: int, tt: int, x: int):
-    code = build_xlrc(rr, tt, x, distance_cap=0)
+    code = build_xlrc(rr, tt, x)
     p = code.params
     family = discover_family(code.H, p.r, p.t, p.x)
     return code, family

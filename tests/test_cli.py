@@ -79,6 +79,13 @@ def test_construct_stdout_split_streams(capsys):
     assert "rate 3/4 = 0.7500" in captured.err
 
 
+@pytest.mark.parametrize("x,d", [(0, 4), (3, 2)])
+def test_construct_prints_distance_past_enumeration(x, d, capsys):
+    # xlrc(5, 3, x) has dimension 35 at x = 0 and 203 at x = 3
+    assert main(["construct", "xlrc", "5", "3", str(x)]) == 0
+    assert f"\nd={d}\n" in capsys.readouterr().err
+
+
 def test_construct_rejects_wrong_arity(capsys):
     assert main(["construct", "wzl", "2", "2", "1"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -11,7 +11,6 @@ from lrckit import (
     build_xlrc,
     canonical_family,
     kronecker,
-    min_distance,
     nullspace_basis,
     rank,
     recovery_parity_word,
@@ -20,7 +19,7 @@ from lrckit import (
 )
 from lrckit.gf2 import iter_codeword_blocks
 from known_matrices import WZL_42_INCIDENCE
-from oracles import parity_word_by_row_loop, solve_by_pivot_limit
+from oracles import min_distance, parity_word_by_row_loop, solve_by_pivot_limit
 
 
 def _codewords(h):

@@ -474,5 +474,7 @@ def test_negative_seed_or_trial_is_invalid():
         with pytest.raises(InvalidParams):
             trial_permutation(seed, trial, 6)
     with pytest.raises(InvalidParams):
+        trial_permutation(0, 0, -1)
+    with pytest.raises(InvalidParams):
         monte_carlo_colored_fraction(graph, family, 10, -1)
     assert issubclass(InvalidParams, ValueError)

@@ -126,6 +126,49 @@ def test_repair_rejects_bad_inputs():
         simulate_repair(h, family, short, 1)
 
 
+_CODE12 = build_xlrc(2, 2, 1, convention="complement")
+_FAMILY12 = canonical_family(_CODE12)
+
+
+def _filled(value, n):
+    """``value`` then n - 1 zeros, in value's own dtype."""
+    return np.array([value] + [0] * (n - 1), dtype=np.asarray(value).dtype)
+
+
+# Each input that must hold bits, filled from one value: the error and message
+# a non-bit value raises.
+_BIT_INPUTS = {
+    "matrix": (
+        lambda v: BitMatrix(_filled(v, 2)[None, :]),
+        InvalidParams,
+        "matrix entries must be 0 or 1",
+    ),
+    "codeword": (
+        lambda v: simulate_repair(_CODE12.H, _FAMILY12, _filled(v, 12), 2),
+        InvalidCodeword,
+        "codeword entries must be 0 or 1",
+    ),
+    "message": (
+        lambda v: systematic_encode(_CODE12.H, _filled(v, 9)),
+        InvalidParams,
+        "message entries must be 0 or 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [1.7, 0.6, 0.9, 2, -1, 256, float("nan"), np.uint8(2)])
+@pytest.mark.parametrize("target", sorted(_BIT_INPUTS))
+def test_entries_must_equal_zero_or_one(target, value):
+    call, error, message = _BIT_INPUTS[target]
+    with pytest.raises(error, match=message):
+        call(value)
+    call(False)
+    call(0.0)
+    assert BitMatrix([[True, 1.0, 0.0]]) == BitMatrix([[1, 1, 0]])
+    floats = systematic_encode(_CODE12.H, [1.0, 0.0] * 4 + [1.0])
+    assert np.array_equal(floats, systematic_encode(_CODE12.H, [1, 0] * 4 + [1]))
+
+
 def test_repair_rejects_family_mismatch():
     h = BitMatrix(WZL_42_INCIDENCE)
     other = discover_family(build_wzl(3, 2).H, 2, 2, 0)

@@ -9,11 +9,11 @@ from lrckit import (
     build_wzl,
     check_recursion,
     complement_columns,
-    min_distance,
+    map_params,
     rank,
-    wzl_params,
 )
 from known_matrices import WZL_32_INCIDENCE, WZL_42_COMPLEMENT, WZL_42_INCIDENCE
+from oracles import min_distance
 
 
 def test_known_incidence_matrices():
@@ -84,14 +84,14 @@ def test_rank_formula(m, t):
 
 
 def test_wzl_params_anchor():
-    p = wzl_params(2, 2)
+    p = map_params(2, 2, 0)
     assert (p.n, p.k, p.r, p.t, p.x, p.d) == (6, 3, 2, 2, 0, 3)
     assert p.rate == Fraction(1, 2)
 
 
 def test_wzl_params_rate_anchors():
-    assert wzl_params(3, 2).rate == Fraction(3, 5)
-    assert wzl_params(7, 3).rate == Fraction(7, 10)
+    assert map_params(3, 2, 0).rate == Fraction(3, 5)
+    assert map_params(7, 3, 0).rate == Fraction(7, 10)
 
 
 @pytest.mark.parametrize("r,t", [(2, 2), (3, 2), (1, 3), (2, 3), (1, 2)])
@@ -99,13 +99,13 @@ def test_distance_matches_brute_force(r, t):
     m = r + t
     code = build_wzl(m, t)
     assert min_distance(code.H) == t + 1
-    p = wzl_params(r, t)
+    p = map_params(r, t, 0)
     assert p.n == code.H.cols
     assert p.k == code.H.cols - rank(code.H)
 
 
 def test_wzl_params_rejects_bad_input():
     with pytest.raises(InvalidParams):
-        wzl_params(0, 2)
+        map_params(0, 2, 0)
     with pytest.raises(InvalidParams):
-        wzl_params(2, 0)
+        map_params(2, 0, 0)

@@ -1,6 +1,7 @@
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 
 from lrckit import (
@@ -9,12 +10,18 @@ from lrckit import (
     build_xlrc,
     canonical_family,
     map_params,
-    min_distance,
     rank,
     rate_upper,
     verify_family,
 )
 from known_matrices import XLRC_221_COMPLEMENT
+from oracles import min_distance
+
+# The acceptance grid of (seed r, seed t, widening x), plus two seeds with
+# t much larger than r.
+CLOSED_FORM_CODES = [
+    (rr, tt, x) for rr in range(1, 6) for tt in range(1, 4) for x in range(4)
+] + [(2, 6, 0), (2, 7, 0)]
 
 
 def test_map_params_anchors():
@@ -99,18 +106,34 @@ def test_distance_without_widening(rr, tt):
     assert code.params.d == tt + 1
 
 
+@pytest.mark.parametrize("rr,tt,x", CLOSED_FORM_CODES)
+def test_distance_closed_form(rr, tt, x):
+    code = build_xlrc(rr, tt, x)
+    h = code.H.array
+    d = code.params.d
+    assert d == (2 if x else tt + 1)
+    assert h.any(axis=0).all()
+    witness = np.zeros(h.shape[1], dtype=np.uint8)
+    if x:
+        # a column and its first sibling copy
+        witness[[0, 1]] = 1
+    else:
+        # the t + 1 columns labelled by the t-subsets of {1..t+1}
+        ground = set(range(1, tt + 2))
+        for j, label in enumerate(code.base.col_labels):
+            witness[j] = set(label) <= ground
+    assert not ((h @ witness) & 1).any()
+    assert int(witness.sum()) == d
+    if code.params.k <= 20:
+        assert min_distance(code.H) == d
+
+
 def test_rank_preserved_by_widening():
     for x in range(4):
         code = build_xlrc(3, 2, x)
         m = 3 + 2
         assert rank(code.H) == comb(m - 1, 1)
         assert code.H.cols == (x + 1) * comb(m, 2)
-
-
-def test_distance_cap_leaves_d_unknown():
-    code = build_xlrc(3, 2, 1, distance_cap=4)
-    assert code.params.k == 16
-    assert code.params.d is None
 
 
 def test_canonical_family_known_sets():
