@@ -35,7 +35,7 @@ _BLOCK_BITS = 16
 class BitMatrix:
     """Immutable dense binary matrix over GF(2)."""
 
-    __slots__ = ("_a",)
+    __slots__ = ("_a", "_hash")
 
     def __init__(self, entries) -> None:
         a = np.asarray(entries)
@@ -46,6 +46,7 @@ class BitMatrix:
         a = np.array(_binary(a, InvalidParams, "matrix entries must be 0 or 1"))
         a.setflags(write=False)
         self._a = a
+        self._hash: int | None = None
 
     @classmethod
     def identity(cls, n: int) -> "BitMatrix":
@@ -96,7 +97,10 @@ class BitMatrix:
         return self._a.shape == other._a.shape and np.array_equal(self._a, other._a)
 
     def __hash__(self) -> int:
-        return hash((self._a.shape, self._a.tobytes()))
+        # The entries are read-only, so the hash is computed once.
+        if self._hash is None:
+            self._hash = hash((self._a.shape, self._a.tobytes()))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"BitMatrix({self.rows}x{self.cols})"
@@ -118,24 +122,33 @@ def _binary(a: np.ndarray, error: type[Exception], message: str) -> np.ndarray:
 def _as_array(matrix: BitMatrix | np.ndarray | Sequence) -> np.ndarray:
     if isinstance(matrix, BitMatrix):
         return matrix.array
-    a = np.asarray(matrix, dtype=np.uint8)
+    a = np.asarray(matrix)
     if a.ndim != 2:
         raise InvalidParams("expected a two-dimensional binary matrix")
-    return a
+    return _binary(a, InvalidParams, "matrix entries must be 0 or 1")
 
 
 def _rref(a: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
-    """In-place reduced row echelon form, columns eliminated left to right.
-    Returns (a, pivot tuple)."""
+    """In-place reduced row echelon form, columns eliminated left to right,
+    stopping once the rows below the last pivot are zero. Returns (a, pivot
+    tuple)."""
     rows, cols = a.shape
     pivots: list[int] = []
     r = 0
+    stale = True
     for c in range(cols):
         if r == rows:
             break
         hits = np.nonzero(a[r:, c])[0]
         if hits.size == 0:
+            # Once rows r.. are zero no pivot is left. They change only when
+            # a pivot is taken, so they are tested once per pivot.
+            if stale:
+                if not a[r:].any():
+                    break
+                stale = False
             continue
+        stale = True
         p = r + int(hits[0])
         if p != r:
             a[[r, p]] = a[[p, r]]
@@ -240,7 +253,8 @@ def solve(a: BitMatrix | np.ndarray, b: Sequence[int] | np.ndarray) -> np.ndarra
     Free variables are set to zero, so the answer is deterministic.
     """
     coeff = _as_array(a)
-    rhs = np.asarray(b, dtype=np.uint8).reshape(-1, 1)
+    rhs = np.asarray(b).reshape(-1, 1)
+    rhs = _binary(rhs, InvalidParams, "matrix entries must be 0 or 1")
     if rhs.shape[0] != coeff.shape[0]:
         raise InvalidParams("right-hand side length does not match row count")
     n = coeff.shape[1]

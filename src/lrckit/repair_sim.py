@@ -2,9 +2,12 @@
 
 Each recovering set is realized by a parity word of the matrix through the
 erased coordinate; the lost symbol is the XOR of the helpers the word reads.
-The helpers come from the verifier's realizing-word table, built once per
-(matrix, family) and shared with ``verify_family``, so repairing every
-coordinate of many codewords solves each set's parity word once.
+Everything that does not depend on the codeword (each set's helpers and each
+coordinate's helper loads) comes from the verifier's realizing-word table,
+built once per (matrix, family) and shared with ``verify_family``. After the
+first call on a pair, a repair costs its input checks (the codeword's length,
+bits and parity checks) plus a gather of the helper bits: no parity word is
+solved and nothing is eliminated.
 """
 
 from __future__ import annotations
@@ -71,26 +74,24 @@ def simulate_repair(
     cw = _binary(cw, InvalidCodeword, "codeword entries must be 0 or 1")
     if np.any((h.array @ cw) & 1):
         raise InvalidCodeword("vector fails the parity checks")
-    table, first_bad = _realizing_helpers(h, family)
-    if first_bad is not None:
+    table = _realizing_helpers(h, family)
+    if table.first_bad is not None:
         raise InvalidParams(
-            f"coordinate {first_bad}: a recovering set admits no parity word"
+            f"coordinate {table.first_bad}: a recovering set admits no parity word"
         )
-    bits = cw.tolist()
+    # Index 0 pads the 1-based helper ids.
+    bits = (0, *cw.tolist())
+    pairs = table.pairs
     recoveries = []
     values = []
-    load: dict[int, int] = {}
-    for helpers in table[erased - 1]:
-        reads = tuple((j + 1, bits[j]) for j in helpers)
-        value = 0
-        for j, bit in reads:
-            value ^= bit
-            load[j] = load.get(j, 0) + 1
-        recoveries.append(reads)
-        values.append(value)
+    for ids in table.helpers[erased - 1]:
+        read = [bits[j] for j in ids]
+        recoveries.append(tuple([pairs[j][bit] for j, bit in zip(ids, read)]))
+        values.append(sum(read) & 1)
+    load_ids, load_counts = table.loads[erased - 1]
     return RepairTrace(
         erased=erased,
         recoveries=tuple(recoveries),
         recovered_values=tuple(values),
-        helper_load=dict(sorted(load.items())),
+        helper_load=dict(zip(load_ids, load_counts)),
     )

@@ -9,10 +9,11 @@ pairwise intersections of size at most x.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -78,6 +79,12 @@ class RecoveringFamily:
                     raise InvalidParams(f"coordinate {i}: set contains its own coordinate")
                 if any(not 1 <= e <= self.n for e in s):
                     raise InvalidParams(f"coordinate {i}: set member out of range")
+        # The fields are immutable, so the hash is computed once; repair
+        # looks the family up by it on every call.
+        object.__setattr__(self, "_hash", hash((self.n, self.sets_by_coordinate)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -219,30 +226,49 @@ def _pick_sets(
     return tuple(chosen) if descend(0) else None
 
 
+class _Realized(NamedTuple):
+    """What repair and verification need of a (matrix, family) pair.
+
+    ``helpers[i][j]`` holds the ascending 1-based columns, other than
+    coordinate i + 1, of the word ``recovery_parity_word`` finds for set
+    j + 1 of that coordinate, or None when the set admits no parity word.
+    ``loads[i]`` lists the helpers of coordinate i + 1 ascending and how many
+    of its sets read each. ``pairs[j]`` is ``((j, 0), (j, 1))``, the (helper,
+    bit) pairs every repair trace shares. ``first_bad`` is the first 1-based
+    coordinate with a None entry, or None.
+    """
+
+    helpers: tuple[tuple[tuple[int, ...] | None, ...], ...]
+    loads: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    pairs: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
+    first_bad: int | None
+
+
 @lru_cache(maxsize=64)
-def _realizing_helpers(
-    h: BitMatrix, family: RecoveringFamily
-) -> tuple[tuple[tuple[tuple[int, ...] | None, ...], ...], int | None]:
-    """Per coordinate and per recovering set: the ascending 0-based columns,
-    other than the coordinate's own, of the word ``recovery_parity_word``
-    finds for them, or None when the set admits no parity word. Also the
-    first 1-based coordinate with such a set, or None. Verification and
-    repair share this table."""
-    table = []
+def _realizing_helpers(h: BitMatrix, family: RecoveringFamily) -> _Realized:
+    """The realizing-word table of ``family`` over H, which verification and
+    repair share: one parity word per recovering set, found once."""
+    helpers = []
+    loads = []
     first_bad = None
     for i, sets in enumerate(family.sets_by_coordinate):
-        helpers = []
+        row = []
+        load: Counter[int] = Counter()
         for s in sets:
             word = recovery_parity_word(h, i, [e - 1 for e in s])
             if word is None:
-                helpers.append(None)
+                row.append(None)
                 if first_bad is None:
                     first_bad = i + 1
             else:
-                support = np.flatnonzero(word).tolist()
-                helpers.append(tuple(j for j in support if j != i))
-        table.append(tuple(helpers))
-    return tuple(table), first_bad
+                ids = tuple(j + 1 for j in np.flatnonzero(word).tolist() if j != i)
+                row.append(ids)
+                load.update(ids)
+        helpers.append(tuple(row))
+        read = tuple(sorted(load))
+        loads.append((read, tuple(load[j] for j in read)))
+    pairs = tuple(((j, 0), (j, 1)) for j in range(h.cols + 1))
+    return _Realized(tuple(helpers), tuple(loads), pairs, first_bad)
 
 
 def verify_family(
@@ -269,7 +295,7 @@ def verify_family(
     """
     if family.n != h.cols:
         raise InvalidParams("family length does not match matrix columns")
-    table, _ = _realizing_helpers(h, family)
+    helpers = _realizing_helpers(h, family).helpers
     deep_checked = deep and h.cols - rank(h) <= DEEP_CHECK_DIM_CAP
     failures: list[tuple[int, str]] = []
     checks: list[CoordinateCheck] = []
@@ -288,8 +314,8 @@ def verify_family(
                 failures.append(
                     (i, f"sets {a + 1} and {b + 1} intersect in {inter} > x={x}")
                 )
-        for j, helpers in enumerate(table[i - 1], start=1):
-            if helpers is None:
+        for j, ids in enumerate(helpers[i - 1], start=1):
+            if ids is None:
                 failures.append((i, f"set {j} admits no parity word through {i}"))
         checks.append(
             CoordinateCheck(

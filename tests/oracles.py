@@ -1,10 +1,12 @@
 """Independent brute-force oracles used to cross-check the library.
 
 Everything here is deliberately naive: exhaustive search over canonical
-configurations, no shared code paths with the package. The one exception is
-min_distance, which streams codewords through the package's
-iter_codeword_blocks; that enumeration is itself checked against
-codewords_by_brute_force.
+configurations, no shared code paths with the package. There are two
+exceptions, each resting on a path that is itself checked against an oracle
+here. min_distance streams codewords through the package's
+iter_codeword_blocks, checked against codewords_by_brute_force. The repair
+oracles take their parity words from recovery_parity_word, checked against
+parity_word_by_row_loop.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from math import inf, sqrt
 
 import numpy as np
 
-from lrckit import BitMatrix
+from lrckit import BitMatrix, InvalidCodeword, InvalidParams, recovery_parity_word
 from lrckit.gf2 import ENUMERATION_CAP, iter_codeword_blocks
 
 # Rows of H each search mode may combine: one, up to three, or all of them.
@@ -128,6 +130,26 @@ def solve_by_pivot_limit(a, b) -> np.ndarray | None:
     for k, c in enumerate(pivots):
         x[c] = aug[k, n]
     return x
+
+
+def rref_by_column_loop(a) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Reduced row echelon form over GF(2) and its pivot columns, visiting
+    every column left to right until the rows run out, with no early stop."""
+    a = np.array(a, dtype=np.uint8)
+    rows, cols = a.shape
+    pivots: list[int] = []
+    for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
+        hits = r + np.flatnonzero(a[r:, c])
+        if not hits.size:
+            continue
+        a[[r, hits[0]]] = a[[hits[0], r]]
+        others = np.flatnonzero(a[:, c])
+        a[others[others != r]] ^= a[r]
+        pivots.append(c)
+    return a, tuple(pivots)
 
 
 def parity_word_by_row_loop(matrix: BitMatrix, target: int, helpers) -> np.ndarray | None:
@@ -276,3 +298,52 @@ def mono_walks_acyclic(
                 state[v0] = 2
                 stack.pop()
     return True
+
+
+def parity_words_by_set(matrix: BitMatrix, family) -> list[list[np.ndarray | None]]:
+    """recovery_parity_word for every set of every coordinate, in order."""
+    return [
+        [recovery_parity_word(matrix, i, [e - 1 for e in s]) for s in sets]
+        for i, sets in enumerate(family.sets_by_coordinate)
+    ]
+
+
+def repair_trace_by_parity_word(matrix: BitMatrix, family, codeword, erased, words=None):
+    """simulate_repair read literally: the same input checks in the same
+    order, then per recovering set of the erased coordinate, the helpers are
+    the support of its parity word minus the coordinate, the value is their
+    XOR, and each read adds one to the helper's load, sorted at the end.
+    ``words`` is parity_words_by_set(matrix, family), computed when absent.
+    Returns (erased, recoveries, recovered_values, helper_load)."""
+    n = matrix.cols
+    if family.n != n:
+        raise InvalidParams("family length does not match matrix columns")
+    if not 1 <= erased <= n:
+        raise InvalidParams(f"erased coordinate {erased} out of range 1..{n}")
+    cw = np.asarray(codeword)
+    if cw.ndim != 1 or cw.shape[0] != n:
+        raise InvalidParams(f"codeword must have length {n}")
+    if not all(v == 0 or v == 1 for v in cw.tolist()):
+        raise InvalidCodeword("codeword entries must be 0 or 1")
+    bits = [int(v) for v in cw.tolist()]
+    for row in matrix.array:
+        if sum(b for b, m in zip(bits, row.tolist()) if m) % 2:
+            raise InvalidCodeword("vector fails the parity checks")
+    if words is None:
+        words = parity_words_by_set(matrix, family)
+    for i, row_words in enumerate(words, start=1):
+        if any(word is None for word in row_words):
+            raise InvalidParams(f"coordinate {i}: a recovering set admits no parity word")
+    recoveries, values, load = [], [], {}
+    for word in words[erased - 1]:
+        reads = []
+        value = 0
+        for j in np.flatnonzero(word).tolist():
+            if j == erased - 1:
+                continue
+            reads.append((j + 1, bits[j]))
+            value ^= bits[j]
+            load[j + 1] = load.get(j + 1, 0) + 1
+        recoveries.append(tuple(reads))
+        values.append(value)
+    return erased, tuple(recoveries), tuple(values), dict(sorted(load.items()))

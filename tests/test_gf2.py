@@ -19,7 +19,12 @@ from lrckit import (
 )
 from lrckit.gf2 import iter_codeword_blocks
 from known_matrices import WZL_42_INCIDENCE
-from oracles import min_distance, parity_word_by_row_loop, solve_by_pivot_limit
+from oracles import (
+    min_distance,
+    parity_word_by_row_loop,
+    rref_by_column_loop,
+    solve_by_pivot_limit,
+)
 
 
 def _codewords(h):
@@ -78,6 +83,47 @@ def test_rref_shape_and_idempotence():
     again, pivots2 = rref(reduced)
     assert again == reduced
     assert pivots2 == pivots
+
+
+def _rank_deficient_inputs():
+    """Matrices with more rows than rank: trailing zero rows, repeated rows,
+    low-rank products, a row-mixed and column-permuted xlrc(5,3,3) (28x224,
+    rank 21), and tall augmented systems shaped like recovery_parity_word's."""
+    rng = np.random.default_rng(53)
+    base = rng.integers(0, 2, (6, 40), dtype=np.uint8)
+    yield np.vstack([base, np.zeros((3, 40), dtype=np.uint8)])
+    yield np.vstack([base, base[::-1], base[2:4]])
+    for _ in range(20):
+        rows, cols = rng.integers(2, 30, size=2)
+        inner = rng.integers(1, rows)
+        yield (rng.integers(0, 2, (rows, inner)) @ rng.integers(0, 2, (inner, cols))) % 2
+    code = build_xlrc(5, 3, 3)
+    rows = code.H.rows
+    mixing = np.tril(rng.integers(0, 2, (rows, rows)), -1) + np.eye(rows, dtype=int)
+    a = ((mixing @ code.H.array) % 2)[:, rng.permutation(code.H.cols)]
+    yield a
+    family = canonical_family(code).sets_by_coordinate
+    for target in rng.choice(code.H.cols, size=6, replace=False):
+        helpers = sorted(family[target][0])[1:] if target % 2 else family[target][0]
+        allowed = np.zeros(code.H.cols, dtype=bool)
+        allowed[[e - 1 for e in helpers]] = True
+        allowed[target] = True
+        system = np.vstack([a[:, ~allowed].T, a[:, target][None, :]])
+        rhs = np.zeros((system.shape[0], 1), dtype=a.dtype)
+        rhs[-1] = 1
+        yield np.hstack([system, rhs])
+
+
+def test_rref_matches_column_loop_on_rank_deficient_inputs():
+    stopped_early = 0
+    for a in _rank_deficient_inputs():
+        reduced, pivots = rref(a)
+        want, want_pivots = rref_by_column_loop(a)
+        assert pivots == want_pivots
+        assert np.array_equal(reduced.array, want)
+        assert len(pivots) < a.shape[0]
+        stopped_early += bool(pivots) and pivots[-1] < a.shape[1] - 1
+    assert stopped_early > 5
 
 
 def test_rank_known_values():

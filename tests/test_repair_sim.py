@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -10,13 +12,20 @@ from lrckit import (
     build_xlrc,
     canonical_family,
     discover_family,
+    rank,
     recovery_parity_word,
     simulate_repair,
+    solve,
     systematic_encode,
     verify_family,
 )
+from lrckit import gf2, verifier
 from known_matrices import WZL_42_INCIDENCE, XLRC_221_COMPLEMENT
-from oracles import codewords_by_brute_force
+from oracles import (
+    codewords_by_brute_force,
+    parity_words_by_set,
+    repair_trace_by_parity_word,
+)
 
 
 def test_systematic_encode_zero_and_parity():
@@ -153,6 +162,16 @@ _BIT_INPUTS = {
         InvalidParams,
         "message entries must be 0 or 1",
     ),
+    "rank": (
+        lambda v: rank(_filled(v, 2)[None, :]),
+        InvalidParams,
+        "matrix entries must be 0 or 1",
+    ),
+    "solve-rhs": (
+        lambda v: solve(np.array([[1, 0]], dtype=np.uint8), _filled(v, 1)),
+        InvalidParams,
+        "matrix entries must be 0 or 1",
+    ),
 }
 
 
@@ -263,3 +282,113 @@ def test_unrealizable_set_named_by_repair_and_verification():
     family = RecoveringFamily(n=6, sets_by_coordinate=tuple(sets))
     with pytest.raises(InvalidParams, match=f"coordinate {bad}: "):
         simulate_repair(h, family, word, 1)
+
+
+def _same_trace(trace, want):
+    erased, recoveries, values, load = want
+    assert trace.erased == erased
+    assert trace.recoveries == recoveries
+    assert trace.recovered_values == values
+    assert list(trace.helper_load.items()) == list(load.items())
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [(2, 2, 1, "complement"), (2, 3, 1, "incidence"), (4, 3, 2, "incidence"),
+     (5, 3, 3, "incidence")],
+)
+def test_repair_matches_parity_word_oracle(spec):
+    code = build_xlrc(*spec[:3], convention=spec[3])
+    h, family = _presented(code, seed=sum(spec[:3]))
+    words = parity_words_by_set(h, family)
+    rng = np.random.default_rng(spec[:3])
+    for _ in range(2):
+        word = systematic_encode(h, rng.integers(0, 2, size=code.params.k, dtype=np.uint8))
+        for i in range(1, h.cols + 1):
+            trace = simulate_repair(h, family, word, i)
+            _same_trace(trace, repair_trace_by_parity_word(h, family, word, i, words))
+    # Each trace owns its load dict: changing one leaves the next intact.
+    first = simulate_repair(h, family, word, 1)
+    first.helper_load.clear()
+    second = simulate_repair(h, family, word, 1)
+    assert second.helper_load is not first.helper_load
+    _same_trace(second, repair_trace_by_parity_word(h, family, word, 1, words))
+
+
+def _raised(call):
+    with pytest.raises((InvalidParams, InvalidCodeword)) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+def test_repair_errors_match_parity_word_oracle():
+    code = build_xlrc(2, 3, 1)
+    h, family = _presented(code, seed=41)
+    n = h.cols
+    word = systematic_encode(h, np.ones(code.params.k, dtype=np.uint8))
+    flipped = word.copy()
+    flipped[3] ^= 1
+    sets = list(family.sets_by_coordinate)
+    # One helper realizes a set only when its column of H equals the
+    # coordinate's. Column 1 equals neither column 7 nor column 12.
+    for i in (12, 7):
+        assert not np.array_equal(h.array[:, 0], h.array[:, i - 1])
+        sets[i - 1] = sets[i - 1][:1] + (frozenset({1}),) + sets[i - 1][2:]
+    cut = RecoveringFamily(n=n, sets_by_coordinate=tuple(sets))
+    other = canonical_family(build_xlrc(2, 2, 1))
+    cases = [
+        (family, word, 0),
+        (family, word, n + 1),
+        (family, word[:-1], 1),
+        (family, word[None, :], 1),
+        (family, np.where(word == 1, 2, 0), 1),
+        (family, word.astype(float) * 0.5, 1),
+        (family, flipped, 1),
+        (other, word, 1),
+        (cut, word, 1),
+        (cut, word, n),
+    ]
+    seen = set()
+    for fam, cw, erased in cases:
+        got = _raised(lambda: simulate_repair(h, fam, cw, erased))
+        assert got == _raised(lambda: repair_trace_by_parity_word(h, fam, cw, erased))
+        seen.add(got)
+    assert (InvalidParams, "coordinate 7: a recovering set admits no parity word") in seen
+    assert (InvalidCodeword, "vector fails the parity checks") in seen
+    assert (InvalidCodeword, "codeword entries must be 0 or 1") in seen
+    # The cut family repairs nothing, but verification names both defects.
+    report = verify_family(h, cut, code.params.r, 3, 1)
+    assert [i for i, text in report.failures if "admits no parity word" in text] == [7, 12]
+
+
+def test_repair_builds_its_table_once(monkeypatch):
+    # The per-call cost is the input checks plus a gather: after the first
+    # repair on an (H, family), no call solves or eliminates anything.
+    code = build_xlrc(2, 3, 1)
+    h, family = _presented(code, seed=43)
+    rng = np.random.default_rng(44)
+    words = [
+        systematic_encode(h, rng.integers(0, 2, size=code.params.k, dtype=np.uint8))
+        for _ in range(3)
+    ]
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        verifier, "recovery_parity_word", counted("parity", verifier.recovery_parity_word)
+    )
+    monkeypatch.setattr(gf2, "_rref", counted("rref", gf2._rref))
+    verifier._realizing_helpers.cache_clear()
+    simulate_repair(h, family, words[0], 1)
+    assert calls["parity"] == 3 * h.cols and calls["rref"] > 0
+    built = dict(calls)
+    for word in words:
+        for i in range(1, h.cols + 1):
+            simulate_repair(h, family, word, i)
+    assert calls == built

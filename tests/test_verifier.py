@@ -253,6 +253,29 @@ def test_verify_family_rejects_length_mismatch():
         verify_family(h, family, 2, 2, 0)
 
 
+def test_equal_content_shares_one_realizing_table():
+    code = build_xlrc(2, 2, 1)
+    sets = canonical_family(code).sets_by_coordinate
+    h1, h2 = BitMatrix(code.H.array), BitMatrix(code.H.array.tolist())
+    f1 = RecoveringFamily(n=code.H.cols, sets_by_coordinate=sets)
+    f2 = _family(code.H.cols, [[sorted(s) for s in per] for per in sets])
+    assert h1 is not h2 and f1 is not f2
+    assert h1 == h2 and hash(h1) == hash(h2)
+    assert f1 == f2 and hash(f1) == hash(f2)
+    verifier._realizing_helpers(h1, f1)
+    before = verifier._realizing_helpers.cache_info()
+    verify_family(h2, f2, 5, 2, 1)
+    after = verifier._realizing_helpers.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    # One set differs: the family is another key.
+    changed = list(sets)
+    changed[0] = (changed[0][0] - {min(changed[0][0])},) + changed[0][1:]
+    f3 = RecoveringFamily(n=code.H.cols, sets_by_coordinate=tuple(changed))
+    assert f3 != f1
+    verify_family(h2, f3, 5, 2, 1)
+    assert verifier._realizing_helpers.cache_info().misses == before.misses + 1
+
+
 def test_discovered_family_matches_canonical_sets():
     code = build_xlrc(2, 2, 1)
     found = discover_family(code.H, 5, 2, 1)
