@@ -47,6 +47,7 @@ from .recovery_graph import (
     exhaustive_expected_fraction,
     monte_carlo_colored_fraction,
     structural_check,
+    structural_sweep,
     trial_permutation,
 )
 from .repair_sim import RepairTrace, simulate_repair, systematic_encode
@@ -112,6 +113,7 @@ __all__ = [
     "simulate_repair",
     "solve",
     "structural_check",
+    "structural_sweep",
     "systematic_encode",
     "table1",
     "table2",

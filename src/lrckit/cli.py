@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +31,7 @@ from .recovery_graph import (
     color_vertices,
     exhaustive_expected_fraction,
     monte_carlo_colored_fraction,
-    structural_check,
+    structural_sweep,
     trial_permutation,
 )
 from .repair_sim import simulate_repair, systematic_encode
@@ -41,8 +40,6 @@ from .xlrc import build_xlrc
 
 __all__ = ["render_matrix", "parse_matrix", "load_matrix", "main"]
 
-# Structural subset sweeps are exponential in the colored set; skip past this.
-_SWEEP_VERTEX_CAP = 12
 _SWEEP_PERMUTATIONS = 20
 
 
@@ -133,7 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("x", type=int)
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--exhaustive", action="store_true", help="exact expectation, n <= 8")
+    p.add_argument("--exhaustive", action="store_true", help="exact expectation")
     p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser("simulate", help="erasure repair sweep")
@@ -260,25 +257,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1
 
 
-def _structural_sweep(graph, family, seed: int, perms: int) -> tuple[int, int]:
-    """Exhaustive subset check under `perms` seeded permutations; returns
-    (passed, total)."""
-    passed = 0
-    for k in range(perms):
-        outcome = color_vertices(graph, family, trial_permutation(seed, k, graph.n))
-        ok = True
-        members = sorted(outcome.colored)
-        for size in range(1, len(members) + 1):
-            for subset in combinations(members, size):
-                if not structural_check(graph, family, outcome, frozenset(subset)):
-                    ok = False
-                    break
-            if not ok:
-                break
-        passed += ok
-    return passed, perms
-
-
 def cmd_graph(args: argparse.Namespace) -> int:
     if args.seed < 0:
         raise InvalidParams("--seed must be nonnegative")
@@ -288,7 +266,6 @@ def cmd_graph(args: argparse.Namespace) -> int:
     family = discover_family(h, args.r, args.t, args.x)
     graph = build_graph(family)
     threshold = f_value(args.r, args.t, args.x)
-    # The result comes before the first line, so a refused run prints nothing.
     if args.exhaustive:
         exact = exhaustive_expected_fraction(graph, family)
         ok = exact >= threshold
@@ -309,14 +286,13 @@ def cmd_graph(args: argparse.Namespace) -> int:
         ok = bound_ok and stats.walk_failures == 0
     print(_fraction_line(f"f({args.r},{args.t},{args.x})", threshold))
     print("\n".join(lines))
-    if graph.n <= _SWEEP_VERTEX_CAP:
-        perms = min(_SWEEP_PERMUTATIONS, args.trials) if not args.exhaustive else _SWEEP_PERMUTATIONS
-        passed, total = _structural_sweep(graph, family, args.seed, perms)
-        print(f"structural subset sweep: {passed}/{total} passed")
-        ok = ok and passed == total
-    else:
-        print(f"structural subset sweep: skipped (n > {_SWEEP_VERTEX_CAP})")
-    return 0 if ok else 1
+    perms = _SWEEP_PERMUTATIONS if args.exhaustive else min(_SWEEP_PERMUTATIONS, args.trials)
+    passed = 0
+    for k in range(perms):
+        outcome = color_vertices(graph, family, trial_permutation(args.seed, k, graph.n))
+        passed += structural_sweep(family, outcome)
+    print(f"structural subset sweep: {passed}/{perms} passed")
+    return 0 if ok and passed == perms else 1
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:

@@ -7,48 +7,47 @@ it; the colored fraction lower-bounds the redundancy argument behind the rate
 bound, and walks that follow a vertex's own color strictly descend the
 ranking, hence never cycle.
 
-One numpy kernel applies the rule to a block of rankings at once, for a
-single coloring, for Monte Carlo and for the exact expectation. Monte Carlo
-trial k ranks the vertices by ``default_rng((seed, k)).permutation(n)``, as
-``trial_permutation`` does. Trials are seeded in blocks: numpy's SeedSequence
-mix and PCG64 seeding step are fixed integer algorithms, so the PCG64 state of
-every trial in a block is computed at once and set on one reused generator,
-whose own shuffle draws the permutation. The last trial of each block is also
-drawn through ``default_rng``; if its ranks or the generator state differ (a
-numpy release that changed its seeding), the block is drawn through
-``trial_permutation``. Either way the ranks are the same bits, so results do
-not depend on the block sizes.
+One numpy kernel applies the rule to a block of rankings at once, for a single
+coloring and for Monte Carlo; the exact expectation and the structural sweep
+walk no rankings. Monte Carlo trial k ranks the vertices by
+``default_rng((seed, k)).permutation(n)``, as ``trial_permutation`` does.
+Trials are seeded in blocks: numpy's SeedSequence mix and PCG64 seeding step
+are fixed integer algorithms, so the PCG64 state of every trial in a block is
+computed at once and set on one reused generator, whose own shuffle draws the
+permutation. The last trial of each block is also drawn through
+``default_rng``; if its ranks or the generator state differ (a numpy release
+that changed its seeding), the block is drawn through ``trial_permutation``.
+Either way the ranks are the same bits, so results do not depend on the block
+sizes.
 """
 
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, permutations
-from math import factorial, sqrt
+from itertools import combinations
+from math import sqrt
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import DimensionTooLarge, InvalidParams
+from .errors import InvalidParams
 from .verifier import RecoveringFamily
 
 __all__ = [
-    "EXHAUSTIVE_VERTEX_CAP",
     "RecoveryGraph",
     "ColoringOutcome",
     "MonteCarloStats",
     "build_graph",
     "color_vertices",
     "structural_check",
+    "structural_sweep",
     "monte_carlo_colored_fraction",
     "exhaustive_expected_fraction",
     "trial_permutation",
 ]
-
-# Exhaustive expectation walks n! permutations; refuse beyond this.
-EXHAUSTIVE_VERTEX_CAP = 8
 
 
 @dataclass(frozen=True)
@@ -167,13 +166,6 @@ def _walks_descend(
     return ((highest < ranks) | (colors == 0)).all(axis=1)
 
 
-def _validate_permutation(permutation: Sequence[int], n: int) -> tuple[int, ...]:
-    tau = tuple(int(v) for v in permutation)
-    if len(tau) != n or sorted(tau) != list(range(1, n + 1)):
-        raise InvalidParams("permutation must be a bijection on 1..n")
-    return tau
-
-
 def color_vertices(
     graph: RecoveryGraph, family: RecoveringFamily, permutation: Sequence[int]
 ) -> ColoringOutcome:
@@ -181,7 +173,9 @@ def color_vertices(
     v under the permutation; leave v uncolored when no set does."""
     if graph.n != family.n:
         raise InvalidParams("graph and family disagree on n")
-    tau = _validate_permutation(permutation, graph.n)
+    tau = tuple(int(v) for v in permutation)
+    if sorted(tau) != list(range(1, graph.n + 1)):
+        raise InvalidParams("permutation must be a bijection on 1..n")
     row = _colors(_member_table(family), np.array([tau]))[0]
     colors = tuple(int(c) if c else None for c in row)
     colored = frozenset(v0 + 1 for v0, c in enumerate(colors) if c is not None)
@@ -207,13 +201,41 @@ def structural_check(
     return False
 
 
+def structural_sweep(family: RecoveringFamily, outcome: ColoringOutcome) -> bool:
+    """True iff ``structural_check`` holds on every nonempty subset of the
+    colored set. Subsets failing it are closed under union, so peeling finds
+    the largest: drop every vertex with a set not meeting what is left until
+    none drops; the sweep passes iff nothing is left. As in structural_check,
+    a vertex with fewer than t sets counts each missing set as never meeting.
+    """
+    if len(outcome.colors) != family.n:
+        raise InvalidParams("outcome and family disagree on n")
+    table = _member_table(family)
+    # Pads n (short sets) and n + 1 (missing sets) are never left.
+    left = np.zeros(family.n + 2, dtype=bool)
+    left[[v - 1 for v in outcome.colored]] = True
+    while True:
+        keep = left[table].any(axis=2).all(axis=1) & left[:-2]
+        if np.array_equal(keep, left[:-2]):
+            return not keep.any()
+        left[:-2] = keep
+
+
+def _natural(value, name: str) -> int:
+    """value as a nonnegative int, else InvalidParams."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise InvalidParams(f"{name} must be an integer") from None
+    if value < 0:
+        raise InvalidParams(f"{name} must be nonnegative")
+    return value
+
+
 def trial_permutation(seed: int, trial: int, n: int) -> np.ndarray:
     """The documented per-trial permutation: ranks 1..n from a PCG64 stream
     seeded with the pair (seed, trial). Independent of the trial order."""
-    if seed < 0 or trial < 0:
-        raise InvalidParams("seed and trial must be nonnegative")
-    if n < 0:
-        raise InvalidParams("permutation length must be nonnegative")
+    seed, trial, n = _natural(seed, "seed"), _natural(trial, "trial"), _natural(n, "n")
     return np.random.default_rng((seed, trial)).permutation(n) + 1
 
 
@@ -335,11 +357,9 @@ def monte_carlo_colored_fraction(
     """
     if graph.n != family.n:
         raise InvalidParams("graph and family disagree on n")
+    trials, seed = _natural(trials, "trials"), _natural(seed, "seed")
     if trials < 2:
         raise InvalidParams("need at least two trials for a standard error")
-    seed = operator.index(seed)
-    if seed < 0:
-        raise InvalidParams("seed must be nonnegative")
     table = _member_table(family)
     n = graph.n
     counts = np.empty(trials, dtype=np.int64)
@@ -368,17 +388,18 @@ def monte_carlo_colored_fraction(
 def exhaustive_expected_fraction(
     graph: RecoveryGraph, family: RecoveringFamily
 ) -> Fraction:
-    """Exact expected colored fraction over all n! permutations."""
+    """Exact expected colored fraction over a uniformly random ranking.
+
+    A union U of sets of v ranks wholly below v with probability 1/(|U| + 1),
+    so by inclusion-exclusion and linearity, with U_J the union of J:
+    E = (1/n) sum_v sum_{nonempty J in sets(v)} (-1)^(|J|+1) / (|U_J| + 1).
+    That is n(2^t - 1) unions, t the most sets of any vertex.
+    """
     if graph.n != family.n:
         raise InvalidParams("graph and family disagree on n")
-    n = graph.n
-    if n > EXHAUSTIVE_VERTEX_CAP:
-        raise DimensionTooLarge(
-            f"exhaustive expectation needs n <= {EXHAUSTIVE_VERTEX_CAP}, got {n}"
-        )
-    table = _member_table(family)
-    ranks = permutations(range(1, n + 1))
-    total_colored = 0
-    while block := list(islice(ranks, _block_rows(table))):
-        total_colored += int(np.count_nonzero(_colors(table, np.array(block))))
-    return Fraction(total_colored, factorial(n) * n)
+    signed: Counter[int] = Counter()
+    for sets in family.sets_by_coordinate:
+        for size in range(1, len(sets) + 1):
+            for chosen in combinations(sets, size):
+                signed[len(frozenset().union(*chosen))] += 1 if size % 2 else -1
+    return sum((Fraction(c, u + 1) for u, c in signed.items()), Fraction(0)) / graph.n

@@ -6,18 +6,28 @@ exceptions, each resting on a path that is itself checked against an oracle
 here. min_distance streams codewords through the package's
 iter_codeword_blocks, checked against codewords_by_brute_force. The repair
 oracles take their parity words from recovery_parity_word, checked against
-parity_word_by_row_loop.
+parity_word_by_row_loop. The coloring oracles run the package's coloring
+kernel over every ranking, checked against colors_by_rule, and its
+per-subset structural_check over every subset.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product
-from math import inf, sqrt
+from fractions import Fraction
+from itertools import combinations, islice, permutations, product
+from math import factorial, inf, sqrt
 
 import numpy as np
 
-from lrckit import BitMatrix, InvalidCodeword, InvalidParams, recovery_parity_word
+from lrckit import (
+    BitMatrix,
+    InvalidCodeword,
+    InvalidParams,
+    recovery_parity_word,
+    structural_check,
+)
 from lrckit.gf2 import ENUMERATION_CAP, iter_codeword_blocks
+from lrckit.recovery_graph import _block_rows, _colors, _member_table
 
 # Rows of H each search mode may combine: one, up to three, or all of them.
 _MODE_DEPTH = {"rows-only": 1, "bounded-combos": 3, "dual-enum": None}
@@ -264,6 +274,28 @@ def colors_by_rule(sets_by_coordinate, ranks) -> list[int | None]:
                 break
         colors.append(color)
     return colors
+
+
+def expected_colored_fraction_by_permutations(family) -> Fraction:
+    """Exact expected colored fraction over all n! rankings, colored in
+    blocks by the package's kernel. Feasible for n <= 8 or so."""
+    table = _member_table(family)
+    ranks = permutations(range(1, family.n + 1))
+    total_colored = 0
+    while block := list(islice(ranks, _block_rows(table))):
+        total_colored += int(np.count_nonzero(_colors(table, np.array(block))))
+    return Fraction(total_colored, factorial(family.n) * family.n)
+
+
+def sweep_by_subsets(graph, family, outcome) -> bool:
+    """The structural sweep by enumeration: structural_check holds on every
+    nonempty subset of the colored set. 2^colored checks."""
+    members = sorted(outcome.colored)
+    return all(
+        structural_check(graph, family, outcome, frozenset(subset))
+        for size in range(1, len(members) + 1)
+        for subset in combinations(members, size)
+    )
 
 
 def mono_walks_acyclic(

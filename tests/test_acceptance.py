@@ -182,13 +182,14 @@ def test_criterion_7_union_bound_oracle():
 def test_criterion_8_coloring_bound():
     def check():
         for rr, tt, x in GRID:
-            p = map_params(rr, tt, x)
-            if p.n > 8:
-                continue
             code, family = _grid_instance(rr, tt, x)
-            graph = build_graph(family)
-            exact = exhaustive_expected_fraction(graph, family)
-            assert exact >= f_value(p.r, p.t, p.x), (rr, tt, x)
+            p = code.params
+            exact = exhaustive_expected_fraction(build_graph(family), family)
+            f = f_value(p.r, p.t, p.x)
+            assert exact >= f, (rr, tt, x)
+            # disjoint sets of size exactly r: every union of j sets has size jr
+            if x == 0:
+                assert exact == f, (rr, tt, x)
 
         mc_cases = []
         for rr, tt in ((2, 2), (3, 2)):
@@ -202,6 +203,8 @@ def test_criterion_8_coloring_bound():
             stats = monte_carlo_colored_fraction(graph, family, 100_000, seed=0)
             threshold = float(f_value(r, t, x))
             assert stats.mean >= threshold - 3 * stats.stderr, (r, t, x)
+            exact = exhaustive_expected_fraction(graph, family)
+            assert abs(stats.mean - exact) <= 4 * stats.stderr, (r, t, x)
             assert stats.walk_failures == 0, (r, t, x)
 
     _run(8, "colored fraction exact and sampled bounds", 180.0, check)

@@ -179,12 +179,31 @@ def test_graph_exhaustive(tmp_path, capsys):
 
 
 def test_graph_exhaustive_cap(tmp_path, capsys):
+    # no cap on n: wzl(5,2) has n = 10, and its expectation is exactly f
     assert main(["construct", "wzl", "3", "2", "--out", str(tmp_path / "h.txt")]) == 0
     capsys.readouterr()
-    assert main(["graph", str(tmp_path / "h.txt"), "3", "2", "0", "--exhaustive"]) == 2
+    assert main(["graph", str(tmp_path / "h.txt"), "3", "2", "0", "--exhaustive"]) == 0
     captured = capsys.readouterr()
-    assert "error:" in captured.err
-    assert captured.out == ""
+    assert captured.err == ""
+    assert "exact expected colored fraction = 5/14 = 0.3571" in captured.out
+    assert "expectation >= f: PASS" in captured.out
+    assert "structural subset sweep: 20/20 passed" in captured.out
+
+
+def test_graph_sweeps_past_twelve_vertices(tmp_path, capsys):
+    # xlrc(2,3,1) has n = 20; the sweep runs at every n
+    assert main(["construct", "xlrc", "2", "3", "1", "--out", str(tmp_path / "h.txt")]) == 0
+    capsys.readouterr()
+    assert main(["graph", str(tmp_path / "h.txt"), "5", "3", "1", "--trials", "1000"]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines() == [
+        "f(5,3,1) = 21/80 = 0.2625",
+        "trials=1000 seed=0",
+        "colored fraction: mean=0.271250 stderr=0.000965",
+        "mean >= f - 3*stderr: PASS",
+        "monochromatic walks acyclic: 1000/1000",
+        "structural subset sweep: 20/20 passed",
+    ]
 
 
 def test_simulate(tmp_path, capsys):

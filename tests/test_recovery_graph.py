@@ -7,7 +7,6 @@ import pytest
 
 from lrckit import (
     ColoringOutcome,
-    DimensionTooLarge,
     InvalidParams,
     RecoveringFamily,
     build_graph,
@@ -18,8 +17,10 @@ from lrckit import (
     discover_family,
     exhaustive_expected_fraction,
     f_value,
+    map_params,
     monte_carlo_colored_fraction,
     structural_check,
+    structural_sweep,
     trial_permutation,
 )
 from lrckit import recovery_graph
@@ -31,11 +32,13 @@ from lrckit.recovery_graph import (
 )
 from oracles import (
     colors_by_rule,
+    expected_colored_fraction_by_permutations,
     expected_colored_fraction_by_simulation,
     members_by_color,
     monte_carlo_by_rule,
     mono_walks_acyclic,
     seeded_permutation,
+    sweep_by_subsets,
 )
 
 # Unequal numbers of sets, unequal set sizes, and vertex 3 with no sets.
@@ -189,12 +192,6 @@ def test_structural_check_detects_saturated_subset():
         assert not outcome.colored >= {1, 2}
 
 
-def _all_nonempty_subsets(vertices):
-    items = sorted(vertices)
-    for mask in range(1, 1 << len(items)):
-        yield frozenset(v for b, v in enumerate(items) if mask >> b & 1)
-
-
 @pytest.mark.parametrize(
     "family,perms",
     [
@@ -207,8 +204,7 @@ def test_structural_check_subset_sweep(family, perms):
     graph = build_graph(family)
     for k in range(perms):
         outcome = color_vertices(graph, family, trial_permutation(7, k, family.n))
-        for subset in _all_nonempty_subsets(outcome.colored):
-            assert structural_check(graph, family, outcome, subset)
+        assert sweep_by_subsets(graph, family, outcome)
 
 
 def test_trial_permutation_contract():
@@ -280,11 +276,93 @@ def test_exhaustive_expectation_tiny_families():
 
 
 def test_exhaustive_expectation_cap():
+    # no cap on n: wzl(5,2) has n = 10 and two disjoint sets of size 3 per
+    # coordinate, so every union has size 3j and E is exactly f(3, 2, 0)
     h = build_wzl(5, 2).H
     family = discover_family(h, 3, 2, 0)
     graph = build_graph(family)
-    with pytest.raises(DimensionTooLarge):
-        exhaustive_expected_fraction(graph, family)
+    assert graph.n == 10
+    assert exhaustive_expected_fraction(graph, family) == f_value(3, 2, 0)
+
+
+def _random_family(rng, n: int, sets_per_vertex: int | None = None) -> RecoveringFamily:
+    """A seeded family: 0 to 3 sets per vertex unless given, of mixed sizes,
+    some repeating an earlier set of the same vertex; at least one set."""
+    sets_by_coordinate = []
+    for v in range(1, n + 1):
+        others = [u for u in range(1, n + 1) if u != v]
+        sets = []
+        count = rng.integers(0, 4) if sets_per_vertex is None else sets_per_vertex
+        for _ in range(count):
+            if sets and rng.random() < 0.2:
+                sets.append(sets[rng.integers(len(sets))])
+            else:
+                size = rng.integers(1, len(others) + 1)
+                sets.append(frozenset(int(u) for u in rng.choice(others, size, replace=False)))
+        sets_by_coordinate.append(tuple(sets))
+    if not any(sets_by_coordinate):
+        sets_by_coordinate[0] = (frozenset({2}),)
+    return RecoveringFamily(n=n, sets_by_coordinate=tuple(sets_by_coordinate))
+
+
+def test_closed_form_expectation_matches_permutation_oracle():
+    rng = np.random.default_rng(2016)
+    families = [_random_family(rng, int(rng.integers(2, 8))) for _ in range(240)]
+    all_sets = [fam.sets_by_coordinate for fam in families]
+    assert any(() in sets for sets in all_sets)
+    assert any(len(set(s)) < len(s) for sets in all_sets for s in sets)
+    assert any(len({len(m) for m in s}) > 1 for sets in all_sets for s in sets)
+    for family in families:
+        exact = exhaustive_expected_fraction(build_graph(family), family)
+        assert exact == expected_colored_fraction_by_permutations(family), family
+
+
+# xlrc grid codes with n <= 12, as (seed r, seed t, widening x)
+SMALL_GRID = [
+    (rr, tt, x)
+    for rr in range(1, 6)
+    for tt in range(1, 4)
+    for x in range(4)
+    if map_params(rr, tt, x).n <= 12
+]
+
+
+@pytest.mark.parametrize("rr, tt, x", SMALL_GRID)
+def test_peel_matches_subset_oracle_on_colorings(rr, tt, x):
+    family = canonical_family(build_xlrc(rr, tt, x))
+    graph = build_graph(family)
+    for k in range(20):
+        outcome = color_vertices(graph, family, trial_permutation(3, k, family.n))
+        assert structural_sweep(family, outcome) == sweep_by_subsets(graph, family, outcome)
+        assert structural_sweep(family, outcome)
+
+
+def test_peel_matches_subset_oracle_on_arbitrary_subsets():
+    # subsets no ranking colors, on ragged families and on families with t
+    # sets at every vertex: the peel must fail exactly where some subset is
+    # saturated
+    rng = np.random.default_rng(1007)
+    verdicts = []
+    for case in range(600):
+        n = int(rng.integers(2, 11))
+        family = _random_family(rng, n, None if case % 2 else 1 + case % 3)
+        subset = frozenset(int(v) for v in np.flatnonzero(rng.random(n) < 0.6) + 1)
+        fake = ColoringOutcome(
+            permutation=tuple(range(1, n + 1)),
+            colors=tuple(1 if v in subset else None for v in range(1, n + 1)),
+            colored=subset,
+        )
+        verdict = structural_sweep(family, fake)
+        assert verdict == sweep_by_subsets(build_graph(family), family, fake)
+        verdicts.append(verdict)
+    assert 0 < verdicts.count(False) < len(verdicts)
+
+
+def test_structural_sweep_rejects_outcome_of_other_n():
+    _, family, graph = _small_setup()
+    outcome = color_vertices(graph, family, trial_permutation(0, 0, 6))
+    with pytest.raises(InvalidParams):
+        structural_sweep(RAGGED, outcome)
 
 
 def test_monochromatic_walk_cycle_detection():
@@ -477,4 +555,11 @@ def test_negative_seed_or_trial_is_invalid():
         trial_permutation(0, 0, -1)
     with pytest.raises(InvalidParams):
         monte_carlo_colored_fraction(graph, family, 10, -1)
+    # non-integral trials, seeds, trial indices and lengths
+    for trials, seed in ((2.5, 0), (10, 0.5), (10, 1.0), (10, "0")):
+        with pytest.raises(InvalidParams):
+            monte_carlo_colored_fraction(graph, family, trials, seed)
+    for seed, trial, n in ((0, 0, 2.5), (0, 1.0, 6), (1.5, 0, 6), (None, 0, 6)):
+        with pytest.raises(InvalidParams):
+            trial_permutation(seed, trial, n)
     assert issubclass(InvalidParams, ValueError)
