@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .errors import InvalidParams
+from .errors import InvalidParams, _integer
 
 __all__ = [
     "BoundReport",
@@ -37,9 +37,9 @@ TABLE2_PAIRS = ((3, 2), (5, 2), (7, 2), (3, 3), (5, 3), (7, 3))
 
 
 def _check_rjx(r: int, j: int, x: int) -> None:
-    if r < 1 or j < 1:
+    if _integer(r, "r") < 1 or _integer(j, "j") < 1:
         raise InvalidParams("locality and set count must be positive")
-    if not 0 <= x <= r:
+    if not 0 <= _integer(x, "x") <= r:
         raise InvalidParams("overlap allowance must lie in [0, r]")
 
 
@@ -66,7 +66,7 @@ def f_value(r: int, t: int, x: int) -> Fraction:
     uniformly random order of the coordinates, some recovering set of a
     coordinate lies entirely below it: odd terms use the largest possible
     unions, even terms the smallest."""
-    if t < 1:
+    if _integer(t, "t") < 1:
         raise InvalidParams("availability must be positive")
     total = Fraction(0)
     for j in range(1, t + 1):
@@ -86,7 +86,7 @@ def rate_upper(r: int, t: int, x: int) -> Fraction:
 def rate_product(r: int, t: int) -> Fraction:
     """Classical disjoint-recovering-set rate bound: prod_i 1/(1 + 1/(i r)).
     Equals rate_upper(r, t, 0) identically."""
-    if r < 1 or t < 1:
+    if _integer(r, "r") < 1 or _integer(t, "t") < 1:
         raise InvalidParams("locality and availability must be positive")
     value = Fraction(1)
     for i in range(1, t + 1):
@@ -110,9 +110,9 @@ def distance_bound_tbf(n: int, k: int, r: int, t: int) -> int:
 
 
 def _check_nkrt(n: int, k: int, r: int, t: int) -> None:
-    if n < 1 or not 1 <= k <= n:
+    if _integer(n, "n") < 1 or not 1 <= _integer(k, "k") <= n:
         raise InvalidParams("need 1 <= k <= n")
-    if r < 1 or t < 1:
+    if _integer(r, "r") < 1 or _integer(t, "t") < 1:
         raise InvalidParams("locality and availability must be positive")
 
 

@@ -1,6 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its integer check."""
 
 from __future__ import annotations
+
+import operator
 
 __all__ = [
     "LrckitError",
@@ -18,6 +20,15 @@ class LrckitError(Exception):
 
 class InvalidParams(LrckitError, ValueError):
     """Parameters outside the valid range of a construction, bound, or check."""
+
+
+def _integer(value, name: str) -> int:
+    """value as an int; ints and numpy integers pass ``operator.index``,
+    anything else (a float, a string, None) raises InvalidParams."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidParams(f"{name} must be an integer") from None
 
 
 class DimensionTooLarge(LrckitError):

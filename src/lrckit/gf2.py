@@ -12,7 +12,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import DimensionTooLarge, InvalidParams
+from .errors import DimensionTooLarge, InvalidParams, _integer
 
 __all__ = [
     "ENUMERATION_CAP",
@@ -283,9 +283,9 @@ def recovery_parity_word(
     """
     a = _as_array(matrix)
     n = a.shape[1]
-    if not 0 <= target < n:
+    if not 0 <= _integer(target, "target") < n:
         raise InvalidParams("target column out of range")
-    if not all(0 <= j < n for j in helpers):
+    if not all(0 <= _integer(j, "helper") < n for j in helpers):
         raise InvalidParams("helper column out of range")
     allowed = np.zeros(n, dtype=bool)
     allowed[list(helpers)] = True

@@ -18,12 +18,11 @@ permutation. The last trial of each block is also drawn through
 ``default_rng``; if its ranks or the generator state differ (a numpy release
 that changed its seeding), the block is drawn through ``trial_permutation``.
 Either way the ranks are the same bits, so results do not depend on the block
-sizes.
+size.
 """
 
 from __future__ import annotations
 
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,7 +32,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import InvalidParams
+from .errors import InvalidParams, _integer
 from .verifier import RecoveringFamily
 
 __all__ = [
@@ -90,8 +89,8 @@ def build_graph(family: RecoveringFamily) -> RecoveryGraph:
     return RecoveryGraph(n=family.n, t=t)
 
 
-# Scratch entries a kernel call may gather per member column; a block holds
-# this many (trial, vertex, color) triples. Keeps peak memory flat in trials.
+# (trial, vertex) ranks per Monte Carlo block; each kernel temporary holds at
+# most t entries per rank. Keeps peak memory flat in trials.
 _BLOCK_ENTRIES = 2**13
 
 
@@ -124,11 +123,6 @@ _MASK32 = 2**32 - 1
 _MASK128 = 2**128 - 1
 
 
-def _block_rows(table: np.ndarray) -> int:
-    """Rank rows per kernel call for this table."""
-    return max(1, _BLOCK_ENTRIES // (table.shape[0] * table.shape[1]))
-
-
 def _extend(ranks: np.ndarray) -> np.ndarray:
     """Ranks with the two pad members appended: rank 0 at column n and
     rank n + 1 at column n + 1. Held as int32 to halve the gathered blocks."""
@@ -155,14 +149,16 @@ def _walks_descend(
 ) -> np.ndarray:
     """Per row: whether every colored vertex outranks each member of its
     own-color set. Walks along own-color edges then strictly descend the
-    ranking, so they cannot cycle."""
+    ranking, so they cannot cycle. The own-color sets are gathered one
+    member column at a time, so each temporary holds one entry per rank."""
     rows, n = ranks.shape
     flat = _extend(ranks).ravel()
-    own = table[np.arange(n), np.maximum(colors, 1) - 1]
+    # (vertex, own color) as an index into a member column raveled to n * t
+    own = np.arange(n) * table.shape[1] + np.maximum(colors, 1) - 1
     offsets = (np.arange(rows) * (n + 2))[:, None]
-    highest = flat[own[..., 0] + offsets]
+    highest = flat[table[..., 0].ravel()[own] + offsets]
     for j in range(1, table.shape[2]):
-        np.maximum(highest, flat[own[..., j] + offsets], out=highest)
+        np.maximum(highest, flat[table[..., j].ravel()[own] + offsets], out=highest)
     return ((highest < ranks) | (colors == 0)).all(axis=1)
 
 
@@ -173,7 +169,7 @@ def color_vertices(
     v under the permutation; leave v uncolored when no set does."""
     if graph.n != family.n:
         raise InvalidParams("graph and family disagree on n")
-    tau = tuple(int(v) for v in permutation)
+    tau = tuple(_integer(v, "permutation entry") for v in permutation)
     if sorted(tau) != list(range(1, graph.n + 1)):
         raise InvalidParams("permutation must be a bijection on 1..n")
     row = _colors(_member_table(family), np.array([tau]))[0]
@@ -223,10 +219,7 @@ def structural_sweep(family: RecoveringFamily, outcome: ColoringOutcome) -> bool
 
 def _natural(value, name: str) -> int:
     """value as a nonnegative int, else InvalidParams."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise InvalidParams(f"{name} must be an integer") from None
+    value = _integer(value, name)
     if value < 0:
         raise InvalidParams(f"{name} must be nonnegative")
     return value
@@ -351,9 +344,9 @@ def monte_carlo_colored_fraction(
 
     Every trial also verifies that monochromatic colored walks strictly
     descend the ranking, hence are acyclic. Trial k ranks the vertices by
-    ``trial_permutation(seed, k, n)``; trials are seeded and colored in
-    blocks, and results depend only on (seed, trials), never on scheduling
-    or block size.
+    ``trial_permutation(seed, k, n)``. Each block of _BLOCK_ENTRIES // n
+    trials is seeded, colored and walk-checked at once; results depend only
+    on (seed, trials), never on scheduling or the block size.
     """
     if graph.n != family.n:
         raise InvalidParams("graph and family disagree on n")
@@ -364,18 +357,12 @@ def monte_carlo_colored_fraction(
     n = graph.n
     counts = np.empty(trials, dtype=np.int64)
     walk_failures = 0
-    block = _block_rows(table)
-    # Seeding costs a fixed number of numpy calls per batch, so a batch of
-    # draws may span several coloring blocks.
-    draws = max(block, _BLOCK_ENTRIES // n)
-    for first in range(0, trials, draws):
-        drawn = _trial_ranks(seed, range(first, min(first + draws, trials)), n)
-        for start in range(0, len(drawn), block):
-            ranks = drawn[start : start + block]
-            colors = _colors(table, ranks)
-            rows = slice(first + start, first + start + len(ranks))
-            counts[rows] = np.count_nonzero(colors, axis=1)
-            walk_failures += int(np.count_nonzero(~_walks_descend(table, ranks, colors)))
+    block = max(1, _BLOCK_ENTRIES // n)
+    for first in range(0, trials, block):
+        ranks = _trial_ranks(seed, range(first, min(first + block, trials)), n)
+        colors = _colors(table, ranks)
+        counts[first : first + len(ranks)] = np.count_nonzero(colors, axis=1)
+        walk_failures += int(np.count_nonzero(~_walks_descend(table, ranks, colors)))
     # Single division keeps the mean exact when every trial colors the same
     # number of vertices, so equality with a rational threshold survives.
     mean = int(counts.sum()) / (trials * n)

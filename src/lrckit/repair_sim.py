@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import InvalidCodeword, InvalidParams
+from .errors import InvalidCodeword, InvalidParams, _integer
 from .gf2 import BitMatrix, _binary, nullspace_basis
 from .verifier import RecoveringFamily, _realizing_helpers
 
@@ -66,7 +66,7 @@ def simulate_repair(
     """
     if family.n != h.cols:
         raise InvalidParams("family length does not match matrix columns")
-    if not 1 <= erased <= h.cols:
+    if not 1 <= _integer(erased, "erased") <= h.cols:
         raise InvalidParams(f"erased coordinate {erased} out of range 1..{h.cols}")
     cw = np.asarray(codeword)
     if cw.ndim != 1 or cw.shape[0] != h.cols:

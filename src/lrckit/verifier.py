@@ -17,7 +17,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import DimensionTooLarge, FamilyNotFound, InvalidParams
+from .errors import DimensionTooLarge, FamilyNotFound, InvalidParams, _integer
 from .gf2 import (
     BitMatrix,
     _pack_rows,
@@ -72,13 +72,14 @@ class RecoveringFamily:
         if self.n < 1 or len(self.sets_by_coordinate) != self.n:
             raise InvalidParams("family must list sets for each of the n coordinates")
         for i, sets in enumerate(self.sets_by_coordinate, start=1):
+            label = f"coordinate {i}: set member"
             for s in sets:
                 if not s:
                     raise InvalidParams(f"coordinate {i}: empty recovering set")
                 if i in s:
                     raise InvalidParams(f"coordinate {i}: set contains its own coordinate")
-                if any(not 1 <= e <= self.n for e in s):
-                    raise InvalidParams(f"coordinate {i}: set member out of range")
+                if any(not 1 <= _integer(e, label) <= self.n for e in s):
+                    raise InvalidParams(f"{label} out of range")
         # The fields are immutable, so the hash is computed once; repair
         # looks the family up by it on every call.
         object.__setattr__(self, "_hash", hash((self.n, self.sets_by_coordinate)))
@@ -112,7 +113,7 @@ def _low_weight_words(h: BitMatrix, r: int, mode: str) -> np.ndarray:
     dual-enum: the entire row space (requires rank <= DUAL_ENUM_RANK_CAP),
     streamed in blocks so memory does not grow with 2**rank. Words may repeat.
     """
-    if r < 1:
+    if _integer(r, "r") < 1:
         raise InvalidParams("locality must be positive")
     if mode == ROWS_ONLY:
         blocks = [_pack_rows(h.array)]
@@ -166,7 +167,7 @@ def candidate_sets(
     words of weight <= r + 1 containing i, minus i itself. Deduplicated and
     sorted lexicographically. This is row i of the table discover_family
     searches; AUTO resolves as in resolve_search_mode."""
-    if not 1 <= i <= h.cols:
+    if not 1 <= _integer(i, "i") <= h.cols:
         raise InvalidParams(f"coordinate {i} out of range 1..{h.cols}")
     return _candidate_table(h, r, resolve_search_mode(h, mode))[i - 1]
 
@@ -191,7 +192,7 @@ def discover_family(
     can see. A candidate may repeat when its self-intersection obeys x.
     Raises FamilyNotFound (with the exhaustiveness of the search) on failure.
     """
-    if t < 1 or x < 0:
+    if _integer(t, "t") < 1 or _integer(x, "x") < 0:
         raise InvalidParams("availability must be positive and overlap nonnegative")
     resolved = resolve_search_mode(h, mode)
     exhaustive = resolved == DUAL_ENUM

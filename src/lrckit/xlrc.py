@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InvalidParams
+from .errors import InvalidParams, _integer
 from .gf2 import BitMatrix, kronecker
 from .params import CodeParams
 from .verifier import RecoveringFamily
@@ -51,9 +51,9 @@ def map_params(r_tilde: int, t_tilde: int, x: int) -> CodeParams:
     - x = 0, d >= t + 1: a codeword with a 1 at i has another 1 in each of
       the t pairwise disjoint recovering sets of i.
     """
-    if r_tilde < 1 or t_tilde < 1:
+    if _integer(r_tilde, "r_tilde") < 1 or _integer(t_tilde, "t_tilde") < 1:
         raise InvalidParams("seed locality and availability must be positive")
-    if x < 0:
+    if _integer(x, "x") < 0:
         raise InvalidParams("overlap allowance must be nonnegative")
     m = r_tilde + t_tilde
     n = (x + 1) * comb(m, t_tilde)

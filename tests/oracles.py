@@ -27,7 +27,7 @@ from lrckit import (
     structural_check,
 )
 from lrckit.gf2 import ENUMERATION_CAP, iter_codeword_blocks
-from lrckit.recovery_graph import _block_rows, _colors, _member_table
+from lrckit.recovery_graph import _colors, _member_table
 
 # Rows of H each search mode may combine: one, up to three, or all of them.
 _MODE_DEPTH = {"rows-only": 1, "bounded-combos": 3, "dual-enum": None}
@@ -278,11 +278,11 @@ def colors_by_rule(sets_by_coordinate, ranks) -> list[int | None]:
 
 def expected_colored_fraction_by_permutations(family) -> Fraction:
     """Exact expected colored fraction over all n! rankings, colored in
-    blocks by the package's kernel. Feasible for n <= 8 or so."""
+    chunks of 1024 by the package's kernel. Feasible for n <= 8 or so."""
     table = _member_table(family)
     ranks = permutations(range(1, family.n + 1))
     total_colored = 0
-    while block := list(islice(ranks, _block_rows(table))):
+    while block := list(islice(ranks, 1024)):
         total_colored += int(np.count_nonzero(_colors(table, np.array(block))))
     return Fraction(total_colored, factorial(family.n) * family.n)
 

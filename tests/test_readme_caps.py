@@ -27,12 +27,15 @@ def _table() -> dict[tuple[str, str], int]:
 
 
 def _module_caps() -> set[tuple[str, str]]:
-    """Module-level names ending in _CAP that a package module assigns."""
+    """Module-level names ending in _CAP or starting with _BLOCK_ that a
+    package module assigns."""
     caps = set()
     for path in PACKAGE.glob("*.py"):
         for node in ast.parse(path.read_text()).body:
             for target in node.targets if isinstance(node, ast.Assign) else ():
-                if isinstance(target, ast.Name) and target.id.endswith("_CAP"):
+                if isinstance(target, ast.Name) and (
+                    target.id.endswith("_CAP") or target.id.startswith("_BLOCK_")
+                ):
                     caps.add((path.stem, target.id))
     return caps
 

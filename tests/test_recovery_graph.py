@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
@@ -152,6 +153,18 @@ def test_color_vertices_rejects_bad_permutation():
         color_vertices(graph, family, [0, 1, 2, 3, 4, 5])
     with pytest.raises(InvalidParams):
         color_vertices(graph, family, [1, 2, 3])
+
+
+def test_color_vertices_rejects_non_integer_entries():
+    family = canonical_family(build_xlrc(2, 2, 1))
+    graph = build_graph(family)
+    for first in (1.4, 1.0, "1", None):
+        with pytest.raises(InvalidParams, match="permutation entry must be"):
+            color_vertices(graph, family, [first, *range(2, 13)])
+    entries = [np.int64(v) for v in range(1, 13)]
+    outcome = color_vertices(graph, family, entries)
+    assert outcome == color_vertices(graph, family, list(range(1, 13)))
+    assert all(type(v) is int for v in outcome.permutation)
 
 
 def test_frozen_coloring_outcome():
@@ -544,6 +557,50 @@ def test_monte_carlo_matches_rule_oracle(monkeypatch, family, trials, seed, spot
     mean, stderr = monte_carlo_by_rule(family.sets_by_coordinate, family.n, trials, seed)
     assert (stats.mean.hex(), stats.stderr.hex()) == (mean.hex(), stderr.hex())
     assert (stats.trials, stats.walk_failures) == (trials, 0)
+
+
+@pytest.mark.parametrize(
+    "family, trials, seed",
+    [
+        (canonical_family(build_xlrc(2, 2, 1, convention="complement")), 690, 3),
+        (RAGGED, 1175, 2**32 + 1),
+        (RAGGED_224, 40, 8),
+    ],
+    ids=["n12", "ragged", "ragged224"],
+)
+@pytest.mark.parametrize("spot_check", ["real", "always-fails"])
+def test_monte_carlo_does_not_depend_on_the_block_size(
+    monkeypatch, family, trials, seed, spot_check
+):
+    # each trial count spans one default block and part of a second
+    if spot_check == "always-fails":
+        monkeypatch.setattr(recovery_graph, "_spot_check", lambda *args: False)
+    graph = build_graph(family)
+
+    def run():
+        stats = monte_carlo_colored_fraction(graph, family, trials, seed)
+        return stats.mean.hex(), stats.stderr.hex(), stats.walk_failures
+
+    expected = run()
+    for entries in (1, 7, family.n, 2**13, 2**16):
+        monkeypatch.setattr(recovery_graph, "_BLOCK_ENTRIES", entries)
+        assert run() == expected, entries
+
+
+def test_monte_carlo_memory_is_flat_in_trials():
+    family = canonical_family(build_xlrc(5, 3, 3))
+    graph = build_graph(family)
+    monte_carlo_colored_fraction(graph, family, 50, 0)
+    peaks = []
+    for trials in (200, 2000):
+        tracemalloc.start()
+        try:
+            monte_carlo_colored_fraction(graph, family, trials, 0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 2**20, peaks
+    assert peaks[1] - peaks[0] < 64 * 2**10, peaks
 
 
 def test_negative_seed_or_trial_is_invalid():

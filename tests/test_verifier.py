@@ -53,6 +53,15 @@ def test_family_validation():
         _family(2, [[{2}]])  # one coordinate listing missing
 
 
+def test_family_members_must_be_integers():
+    # a member 2.5 would otherwise be read as vertex 2 by the coloring kernel
+    for member in (2.5, 2.0, "2", None):
+        with pytest.raises(InvalidParams, match="coordinate 1: set member must be"):
+            _family(3, [[{member}], [{1}], [{1}]])
+    family = _family(3, [[{np.int64(2)}], [{np.uint8(1)}], [{1}]])
+    assert family == _family(3, [[{2}], [{1}], [{1}]])
+
+
 def test_candidate_sets_from_rows():
     h = BitMatrix(WZL_42_INCIDENCE)
     got = candidate_sets(h, 1, 2, mode=ROWS_ONLY)
