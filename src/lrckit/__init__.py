@@ -30,7 +30,6 @@ from .errors import (
 )
 from .gf2 import (
     BitMatrix,
-    kronecker,
     nullspace_basis,
     rank,
     recovery_parity_word,
@@ -52,7 +51,6 @@ from .recovery_graph import (
 )
 from .repair_sim import RepairTrace, simulate_repair, systematic_encode
 from .verifier import (
-    CoordinateCheck,
     RecoveringFamily,
     VerificationReport,
     candidate_sets,
@@ -69,7 +67,6 @@ __all__ = [
     "BoundReport",
     "CodeParams",
     "ColoringOutcome",
-    "CoordinateCheck",
     "DimensionTooLarge",
     "FamilyNotFound",
     "InvalidCodeword",
@@ -99,7 +96,6 @@ __all__ = [
     "distance_bound_wr",
     "exhaustive_expected_fraction",
     "f_value",
-    "kronecker",
     "map_params",
     "monte_carlo_colored_fraction",
     "n_lower",

@@ -243,9 +243,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     family = discover_family(h, args.r, args.t, args.x, mode=mode)
     report = verify_family(h, family, args.r, args.t, args.x, deep=args.deep)
     print(f"checks at r={args.r} t={args.t} x={args.x}:")
-    for check in report.per_coordinate:
-        sizes = ",".join(str(len(s)) for s in check.sets)
-        print(f"  {check.coordinate}: sizes={sizes} overlap={check.max_intersection}")
+    for i, sets in enumerate(family.sets_by_coordinate, start=1):
+        sizes = ",".join(str(len(s)) for s in sets)
+        print(f"  {i}: sizes={sizes} overlap={report.overlaps[i - 1]}")
     if args.deep:
         print(f"deep separation check: {'ran' if report.deep_checked else 'skipped'}")
     if report.ok:

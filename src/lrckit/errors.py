@@ -54,11 +54,10 @@ class FamilyNotFound(LrckitError):
     making the failure a true negative rather than a search limitation.
     """
 
-    def __init__(self, coordinate: int, exhaustive: bool, message: str = "") -> None:
-        detail = message or (
+    def __init__(self, coordinate: int, exhaustive: bool) -> None:
+        super().__init__(
             f"no recovering-set family at coordinate {coordinate} "
             f"(exhaustive search: {'yes' if exhaustive else 'no'})"
         )
-        super().__init__(detail)
         self.coordinate = coordinate
         self.exhaustive = exhaustive

@@ -8,7 +8,7 @@ on rows packed into uint64 limbs and streams fixed-size blocks.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -20,7 +20,6 @@ __all__ = [
     "rank",
     "rref",
     "nullspace_basis",
-    "kronecker",
     "iter_codeword_blocks",
     "solve",
     "recovery_parity_word",
@@ -50,18 +49,20 @@ class BitMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "BitMatrix":
-        if n < 1:
+        if _integer(n, "identity size") < 1:
             raise InvalidParams("identity size must be positive")
         return cls(np.eye(n, dtype=np.uint8))
 
     @classmethod
     def ones(cls, rows: int, cols: int) -> "BitMatrix":
-        if rows < 1 or cols < 1:
+        if _integer(rows, "rows") < 1 or _integer(cols, "cols") < 1:
             raise InvalidParams("ones matrix must have positive shape")
         return cls(np.ones((rows, cols), dtype=np.uint8))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "BitMatrix":
+        if _integer(rows, "rows") < 0 or _integer(cols, "cols") < 1:
+            raise InvalidParams("zeros matrix needs rows >= 0 and cols >= 1")
         return cls(np.zeros((rows, cols), dtype=np.uint8))
 
     @property
@@ -192,11 +193,6 @@ def nullspace_basis(matrix: BitMatrix | np.ndarray) -> BitMatrix:
     return BitMatrix(basis)
 
 
-def kronecker(a: BitMatrix | np.ndarray, b: BitMatrix | np.ndarray) -> BitMatrix:
-    """Kronecker product; 0/1 entries stay 0/1 without reduction."""
-    return BitMatrix(np.kron(_as_array(a), _as_array(b)))
-
-
 def _pack_rows(a: np.ndarray) -> np.ndarray:
     """Rows of a 0/1 matrix as uint64 limbs, ceil(cols / 64) per row; column
     j is bit j % 64 of limb j // 64."""
@@ -269,7 +265,7 @@ def solve(a: BitMatrix | np.ndarray, b: Sequence[int] | np.ndarray) -> np.ndarra
 
 
 def recovery_parity_word(
-    matrix: BitMatrix | np.ndarray, target: int, helpers: Sequence[int]
+    matrix: BitMatrix | np.ndarray, target: int, helpers: Iterable[int]
 ) -> np.ndarray | None:
     """A row-space word w of H with w[target] = 1 and support within
     helpers + {target}, or None if no such parity check exists.
@@ -285,10 +281,12 @@ def recovery_parity_word(
     n = a.shape[1]
     if not 0 <= _integer(target, "target") < n:
         raise InvalidParams("target column out of range")
-    if not all(0 <= _integer(j, "helper") < n for j in helpers):
+    # Read once: a one-shot iterable would be empty after the range check.
+    helpers = [_integer(j, "helper") for j in helpers]
+    if not all(0 <= j < n for j in helpers):
         raise InvalidParams("helper column out of range")
     allowed = np.zeros(n, dtype=bool)
-    allowed[list(helpers)] = True
+    allowed[helpers] = True
     allowed[target] = True
     outside = np.flatnonzero(~allowed)
     # Fast path: the first row of H that already works.

@@ -12,11 +12,12 @@ __all__ = ["CodeParams"]
 
 @dataclass(frozen=True)
 class CodeParams:
-    """Length, dimension, locality, availability, overlap allowance, rate.
+    """Length, dimension, locality, availability, overlap allowance, rate
+    and minimum distance.
 
-    ``rate`` is exact and must equal k/n; ``d`` is the true minimum distance
-    when known, else None. ``x`` bounds the pairwise intersection of the t
-    recovering sets of any coordinate.
+    ``rate`` is exact and must equal k/n; ``d`` is the true minimum distance.
+    ``x`` bounds the pairwise intersection of the t recovering sets of any
+    coordinate.
     """
 
     n: int
@@ -25,7 +26,7 @@ class CodeParams:
     t: int
     x: int
     rate: Fraction
-    d: int | None = None
+    d: int
 
     def __post_init__(self) -> None:
         if self.n < 1 or not 0 <= self.k <= self.n:
@@ -36,5 +37,5 @@ class CodeParams:
             raise InvalidParams("overlap allowance must lie in [0, r]")
         if self.rate != Fraction(self.k, self.n):
             raise InvalidParams("rate must equal k/n exactly")
-        if self.d is not None and self.d < 1:
-            raise InvalidParams("minimum distance must be positive when known")
+        if self.d < 1:
+            raise InvalidParams("minimum distance must be positive")

@@ -66,7 +66,8 @@ def simulate_repair(
     """
     if family.n != h.cols:
         raise InvalidParams("family length does not match matrix columns")
-    if not 1 <= _integer(erased, "erased") <= h.cols:
+    erased = _integer(erased, "erased")
+    if not 1 <= erased <= h.cols:
         raise InvalidParams(f"erased coordinate {erased} out of range 1..{h.cols}")
     cw = np.asarray(codeword)
     if cw.ndim != 1 or cw.shape[0] != h.cols:

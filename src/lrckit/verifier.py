@@ -35,7 +35,6 @@ __all__ = [
     "AUTO",
     "DUAL_ENUM_RANK_CAP",
     "RecoveringFamily",
-    "CoordinateCheck",
     "VerificationReport",
     "candidate_sets",
     "verify_family",
@@ -89,19 +88,13 @@ class RecoveringFamily:
 
 
 @dataclass(frozen=True)
-class CoordinateCheck:
-    """Per-coordinate verification record."""
-
-    coordinate: int
-    sets: tuple[frozenset[int], ...]
-    max_size: int
-    max_intersection: int
-
-
-@dataclass(frozen=True)
 class VerificationReport:
+    """``overlaps[i - 1]`` is the largest intersection of two sets of
+    coordinate i (0 with fewer than two sets); ``failures`` lists (1-based
+    coordinate, reason) pairs in order."""
+
     ok: bool
-    per_coordinate: tuple[CoordinateCheck, ...]
+    overlaps: tuple[int, ...]
     failures: tuple[tuple[int, str], ...]
     deep_checked: bool
 
@@ -292,21 +285,22 @@ def verify_family(
     defect, reported once as "admits no parity word", with or without
     ``deep``. ``deep`` only sets ``deep_checked``, when the dimension is at
     most DEEP_CHECK_DIM_CAP: the separation verdict is that same entry, and
-    no codeword is enumerated. Failures are data, not errors.
+    no codeword is enumerated. Failures are data, not errors; r, t and x
+    must be integers, but a value out of range is a failure.
     """
     if family.n != h.cols:
         raise InvalidParams("family length does not match matrix columns")
+    r, t, x = _integer(r, "r"), _integer(t, "t"), _integer(x, "x")
     helpers = _realizing_helpers(h, family).helpers
     deep_checked = deep and h.cols - rank(h) <= DEEP_CHECK_DIM_CAP
     failures: list[tuple[int, str]] = []
-    checks: list[CoordinateCheck] = []
+    overlaps: list[int] = []
     for i, sets in enumerate(family.sets_by_coordinate, start=1):
         if len(sets) != t:
             failures.append((i, f"expected {t} recovering sets, found {len(sets)}"))
-        sizes = tuple(len(s) for s in sets)
-        for j, size in enumerate(sizes, start=1):
-            if size > r:
-                failures.append((i, f"set {j} has size {size} > r={r}"))
+        for j, s in enumerate(sets, start=1):
+            if len(s) > r:
+                failures.append((i, f"set {j} has size {len(s)} > r={r}"))
         max_int = 0
         for a, b in combinations(range(len(sets)), 2):
             inter = len(sets[a] & sets[b])
@@ -315,21 +309,14 @@ def verify_family(
                 failures.append(
                     (i, f"sets {a + 1} and {b + 1} intersect in {inter} > x={x}")
                 )
+        overlaps.append(max_int)
         for j, ids in enumerate(helpers[i - 1], start=1):
             if ids is None:
                 failures.append((i, f"set {j} admits no parity word through {i}"))
-        checks.append(
-            CoordinateCheck(
-                coordinate=i,
-                sets=sets,
-                max_size=max(sizes, default=0),
-                max_intersection=max_int,
-            )
-        )
     ordered = tuple(sorted(failures))
     return VerificationReport(
         ok=not ordered,
-        per_coordinate=tuple(checks),
+        overlaps=tuple(overlaps),
         failures=ordered,
         deep_checked=deep_checked,
     )

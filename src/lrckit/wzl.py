@@ -14,7 +14,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import InvalidParams
+from .errors import InvalidParams, _integer
 from .gf2 import BitMatrix
 
 __all__ = [
@@ -61,6 +61,7 @@ def build_wzl(m: int, t: int) -> WzlCode:
     in every 1-subset, so the matrix is the 1 x m all-ones row; t = m gives
     its transpose, the m x 1 all-ones column.
     """
+    m, t = _integer(m, "m"), _integer(t, "t")
     if not 1 <= t <= m:
         raise InvalidParams(f"need 1 <= t <= m, got t={t}, m={m}")
     row_labels = subset_labels(m, t - 1)
@@ -101,6 +102,7 @@ def check_recursion(m: int, t: int) -> bool:
     stripping that element; plain lexicographic order already does both.
     Requires 2 <= t <= m - 1.
     """
+    m, t = _integer(m, "m"), _integer(t, "t")
     if not 2 <= t <= m - 1:
         raise InvalidParams(f"recursion needs 2 <= t <= m-1, got t={t}, m={m}")
     whole = build_wzl(m, t).H.array

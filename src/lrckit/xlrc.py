@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidParams, _integer
-from .gf2 import BitMatrix, kronecker
+from .gf2 import BitMatrix
 from .params import CodeParams
 from .verifier import RecoveringFamily
 from .wzl import WzlCode, build_wzl, complement_columns
@@ -28,7 +28,6 @@ class XlrcCode:
     """A seed code together with its column-duplicated parity-check matrix."""
 
     base: WzlCode
-    x: int
     H: BitMatrix
     params: CodeParams
 
@@ -78,8 +77,8 @@ def build_xlrc(
         seed = complement_columns(seed)
     elif convention != "incidence":
         raise InvalidParams(f"unknown convention {convention!r}")
-    h = kronecker(seed.H, BitMatrix.ones(1, x + 1))
-    return XlrcCode(base=seed, x=x, H=h, params=params)
+    h = BitMatrix(np.repeat(seed.H.array, x + 1, axis=1))
+    return XlrcCode(base=seed, H=h, params=params)
 
 
 def canonical_family(code: XlrcCode) -> RecoveringFamily:
@@ -91,9 +90,9 @@ def canonical_family(code: XlrcCode) -> RecoveringFamily:
     supports = [
         frozenset(int(c) + 1 for c in np.nonzero(h[row])[0]) for row in range(h.shape[0])
     ]
-    per_coordinate = []
+    sets = []
     for col in range(h.shape[1]):
         coord = col + 1
         rows = np.nonzero(h[:, col])[0]
-        per_coordinate.append(tuple(supports[int(row)] - {coord} for row in rows))
-    return RecoveringFamily(n=h.shape[1], sets_by_coordinate=tuple(per_coordinate))
+        sets.append(tuple(supports[int(row)] - {coord} for row in rows))
+    return RecoveringFamily(n=h.shape[1], sets_by_coordinate=tuple(sets))

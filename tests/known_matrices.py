@@ -18,8 +18,8 @@ WZL_42_COMPLEMENT = [
     [1, 1, 0, 1, 0, 0],
 ]
 
-# Kronecker widening of WZL_42_COMPLEMENT by [1 1]: the 12-column code with
-# (r, t, x) = (5, 2, 1), rank 3, rate 3/4.
+# WZL_42_COMPLEMENT with every column repeated twice: the 12-column code
+# with (r, t, x) = (5, 2, 1), rank 3, rate 3/4.
 XLRC_221_COMPLEMENT = [
     [0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1],
     [0, 0, 1, 1, 1, 1, 0, 0, 0, 0, 1, 1],

@@ -140,6 +140,35 @@ def test_verify_ok(tmp_path, capsys):
     assert "result: ok" in out
 
 
+def test_verify_stdout_with_overlap(tmp_path, capsys):
+    path = _write_matrix(tmp_path, XLRC_221_COMPLEMENT)
+    assert main(["verify", path, "5", "2", "1", "--deep"]) == 0
+    checks = "".join(f"  {i}: sizes=5,5 overlap=1\n" for i in range(1, 13))
+    assert capsys.readouterr().out == (
+        "matrix: 4x12 (rank 3)\n"
+        "search mode: dual-enum (exhaustive)\n"
+        "checks at r=5 t=2 x=1:\n"
+        f"{checks}"
+        "deep separation check: ran\n"
+        "result: ok\n"
+    )
+
+
+def test_verify_stdout_of_constructed_wzl(tmp_path, capsys):
+    path = str(tmp_path / "h.txt")
+    assert main(["construct", "wzl", "2", "2", "--out", path]) == 0
+    capsys.readouterr()
+    assert main(["verify", path, "2", "2", "0"]) == 0
+    checks = "".join(f"  {i}: sizes=2,2 overlap=0\n" for i in range(1, 7))
+    assert capsys.readouterr().out == (
+        "matrix: 4x6 (rank 3)\n"
+        "search mode: dual-enum (exhaustive)\n"
+        "checks at r=2 t=2 x=0:\n"
+        f"{checks}"
+        "result: ok\n"
+    )
+
+
 def test_verify_family_not_found(tmp_path, capsys):
     path = _write_matrix(tmp_path, WZL_42_INCIDENCE)
     assert main(["verify", path, "1", "2", "0"]) == 1

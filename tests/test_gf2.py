@@ -10,7 +10,6 @@ from lrckit import (
     InvalidParams,
     build_xlrc,
     canonical_family,
-    kronecker,
     nullspace_basis,
     rank,
     recovery_parity_word,
@@ -182,20 +181,6 @@ def test_nullspace_of_single_parity_row():
     assert basis == BitMatrix([[1, 1]])
 
 
-def test_kronecker_duplicates_columns():
-    m = BitMatrix([[1, 0], [0, 1]])
-    wide = kronecker(m, BitMatrix.ones(1, 3))
-    assert wide.cols == 6
-    assert wide.row_support(0) == (0, 1, 2)
-    assert wide.row_support(1) == (3, 4, 5)
-    assert wide == BitMatrix([[1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 1, 1]])
-
-
-def test_kronecker_with_single_one_is_identity_map():
-    m = BitMatrix(WZL_42_INCIDENCE)
-    assert kronecker(m, BitMatrix.ones(1, 1)) == m
-
-
 def test_iter_codeword_blocks_small_anchors():
     words = _codewords(BitMatrix([[1, 1, 1]]))
     got = {tuple(map(int, w)) for w in words}
@@ -299,6 +284,30 @@ def test_recovery_parity_word_absent():
     m = BitMatrix(WZL_42_INCIDENCE)
     assert recovery_parity_word(m, 0, (1,)) is None
     assert recovery_parity_word(m, 0, ()) is None
+
+
+@pytest.mark.parametrize(
+    "kind",
+    # The helpers below are contiguous, so a range can give them.
+    [list, tuple, np.array, lambda h: range(h[0], h[-1] + 1), lambda h: (j for j in h)],
+    ids=["list", "tuple", "array", "range", "generator"],
+)
+@pytest.mark.parametrize(
+    "h,target,helpers",
+    [
+        # Row 0 of xlrc(2,2,1) has support 0..5.
+        (build_xlrc(2, 2, 1).H, 0, [1, 2, 3, 4, 5]),
+        # Only rows 0 + 1 fit, so the word comes from the solve.
+        (BitMatrix(WZL_42_INCIDENCE), 1, [2, 3, 4]),
+    ],
+    ids=["single-row", "solve"],
+)
+def test_recovery_parity_word_reads_helpers_once(kind, h, target, helpers):
+    """A one-shot iterable of helpers gives the word a list gives: the range
+    check must not use it up."""
+    expected = recovery_parity_word(h, target, helpers)
+    assert expected is not None
+    assert recovery_parity_word(h, target, kind(helpers)).tolist() == expected.tolist()
 
 
 def test_recovery_parity_word_rejects_helpers_out_of_range():

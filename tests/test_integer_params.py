@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 
 from lrckit import (
+    BitMatrix,
     InvalidParams,
+    build_wzl,
     build_xlrc,
     candidate_sets,
     canonical_family,
+    check_recursion,
     discover_family,
     distance_bound_tbf,
     distance_bound_wr,
@@ -20,6 +23,7 @@ from lrckit import (
     rate_product,
     recovery_parity_word,
     simulate_repair,
+    verify_family,
 )
 
 CODE = build_xlrc(2, 2, 1)
@@ -40,6 +44,10 @@ CALLS = {
     "simulate_repair": lambda v: simulate_repair(
         CODE.H, FAMILY, ZERO, erased=v
     ).recovered_values,
+    # The trace keeps the checked int, not the caller's numpy integer.
+    "simulate_repair_erased": lambda v: type(
+        simulate_repair(CODE.H, FAMILY, ZERO, erased=v).erased
+    ),
     "candidate_sets": lambda v: candidate_sets(CODE.H, v, 3),
     "candidate_sets_r": lambda v: candidate_sets(CODE.H, 1, v),
     "discover_family": lambda v: discover_family(CODE.H, 5, v, 1),
@@ -47,6 +55,17 @@ CALLS = {
     "recovery_parity_word_helper": lambda v: recovery_parity_word(
         CODE.H, 0, [v, 1, 3, 4, 5]
     ).tolist(),
+    "verify_family_r": lambda v: verify_family(CODE.H, FAMILY, v, 2, 1).failures,
+    "verify_family_t": lambda v: verify_family(CODE.H, FAMILY, 5, v, 1).failures,
+    "verify_family_x": lambda v: verify_family(CODE.H, FAMILY, 5, 2, v).failures,
+    "build_wzl_m": lambda v: build_wzl(v, 2).H,
+    "build_wzl_t": lambda v: build_wzl(4, v).H,
+    "check_recursion": lambda v: check_recursion(5, v),
+    "identity": lambda v: BitMatrix.identity(v),
+    "ones_rows": lambda v: BitMatrix.ones(v, 3),
+    "ones_cols": lambda v: BitMatrix.ones(3, v),
+    "zeros_rows": lambda v: BitMatrix.zeros(v, 3),
+    "zeros_cols": lambda v: BitMatrix.zeros(3, v),
 }
 
 
@@ -60,3 +79,10 @@ def test_non_integer_argument_is_invalid(call, value):
 @pytest.mark.parametrize("call", sorted(CALLS))
 def test_numpy_integer_argument_is_accepted(call):
     assert CALLS[call](np.int64(2)) == CALLS[call](2)
+
+
+def test_zeros_shape():
+    assert BitMatrix.zeros(0, 3).rows == 0
+    for rows, cols in ((-1, 3), (2, 0), (2, -1)):
+        with pytest.raises(InvalidParams):
+            BitMatrix.zeros(rows, cols)

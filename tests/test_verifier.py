@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -244,6 +246,24 @@ def test_verify_family_flags_overlap():
     assert not report.ok
     assert all("intersect in 1 > x=0" in reason for _, reason in report.failures)
     assert len(report.failures) == 12
+
+
+@pytest.mark.parametrize(
+    "h",
+    [BitMatrix.ones(1, 4), BitMatrix.identity(4), BitMatrix([[1, 1, 0, 0], [0, 0, 1, 1]])],
+    ids=["parity", "identity", "pairs"],
+)
+def test_verify_family_overlaps_are_the_largest_pairwise_intersection(h):
+    """0, 1, 2 and 3 sets per coordinate; the overlaps depend on the family
+    alone, whatever H and the thresholds."""
+    family = _family(4, [[], [{1}], [{1, 4}, {4}], [{1, 2, 3}, {1, 2}, {3}]])
+    brute = tuple(
+        max((len(a & b) for a, b in combinations(sets, 2)), default=0)
+        for sets in family.sets_by_coordinate
+    )
+    assert brute == (0, 0, 1, 2)
+    for r, t, x in ((1, 1, 0), (3, 3, 2)):
+        assert verify_family(h, family, r, t, x).overlaps == brute
 
 
 def test_verify_family_flags_unrecoverable_set():
