@@ -8,6 +8,7 @@ on rows packed into uint64 limbs and streams fixed-size blocks.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -29,6 +30,10 @@ __all__ = [
 ENUMERATION_CAP = 25
 
 _BLOCK_BITS = 16
+
+# Jobs per chunk of the parity-word kernel; a chunk's elimination holds two
+# uint64 arrays of jobs x cols x ceil((rows + 1) / 64) limbs.
+_BLOCK_JOBS = 2**6
 
 
 class BitMatrix:
@@ -78,16 +83,26 @@ class BitMatrix:
         """Read-only uint8 view of the entries."""
         return self._a
 
+    def _index(self, value: int, axis: int) -> int:
+        """``value`` as a 0-based row (axis 0) or column (axis 1) index;
+        negative indices count as out of range."""
+        name = ("row", "column")[axis]
+        index = _integer(value, name)
+        size = self._a.shape[axis]
+        if not 0 <= index < size:
+            raise InvalidParams(f"{name} {index} out of range for {size} {name}s")
+        return index
+
     def row(self, i: int) -> np.ndarray:
-        return self._a[i]
+        return self._a[self._index(i, 0)]
 
     def row_support(self, i: int) -> tuple[int, ...]:
         """0-based column indices of the ones in row i."""
-        return tuple(int(j) for j in np.nonzero(self._a[i])[0])
+        return tuple(int(j) for j in np.nonzero(self._a[self._index(i, 0)])[0])
 
     def column_support(self, j: int) -> tuple[int, ...]:
         """0-based row indices of the ones in column j."""
-        return tuple(int(i) for i in np.nonzero(self._a[:, j])[0])
+        return tuple(int(i) for i in np.nonzero(self._a[:, self._index(j, 1)])[0])
 
     def __getitem__(self, idx):
         return self._a[idx]
@@ -272,10 +287,11 @@ def recovery_parity_word(
 
     ``target`` and ``helpers`` are 0-based column indices. Such a word
     certifies that coordinate ``target`` of every codeword is the XOR of the
-    coordinates in w's support minus target. The first row of H that
-    qualifies is returned as is; failing that, w comes from one solve over
-    the rows. None is returned only when the linear system for w is
-    inconsistent, so no such word exists.
+    coordinates in w's support minus target. This is a one-job call of the
+    parity-word kernel: the first row of H that qualifies is returned as is;
+    failing that, w is the row combination the kernel's elimination finds.
+    None is returned only when that linear system is inconsistent, so no
+    such word exists.
     """
     a = _as_array(matrix)
     n = a.shape[1]
@@ -285,20 +301,109 @@ def recovery_parity_word(
     helpers = [_integer(j, "helper") for j in helpers]
     if not all(0 <= j < n for j in helpers):
         raise InvalidParams("helper column out of range")
-    allowed = np.zeros(n, dtype=bool)
-    allowed[helpers] = True
-    allowed[target] = True
-    outside = np.flatnonzero(~allowed)
-    # Fast path: the first row of H that already works.
-    fits = (a[:, target] == 1) & ~a[:, outside].any(axis=1)
-    if fits.any():
-        return a[fits.argmax()].copy()
-    # Otherwise solve for a combination u of rows: zero outside the allowed
-    # columns, one at the target.
-    system = np.vstack([a[:, outside].T, a[:, target][None, :]])
-    rhs = np.zeros(outside.size + 1, dtype=np.uint8)
-    rhs[-1] = 1
-    u = solve(system, rhs)
-    if u is None:
-        return None
-    return (u @ a) & 1
+    words, found = _parity_words(a, [(target, helpers)])
+    return words[0] if found[0] else None
+
+
+def _allowed(n: int, jobs: Sequence[tuple[int, Sequence[int]]]) -> np.ndarray:
+    """(jobs, n) bool mask of each job's helpers + {target}."""
+    sizes = [len(helpers) for _, helpers in jobs]
+    members = chain.from_iterable(helpers for _, helpers in jobs)
+    mask = np.zeros((len(jobs), n), dtype=bool)
+    mask[
+        np.repeat(np.arange(len(jobs)), sizes),
+        np.fromiter(members, dtype=np.intp, count=sum(sizes)),
+    ] = True
+    mask[np.arange(len(jobs)), [target for target, _ in jobs]] = True
+    return mask
+
+
+def _parity_words(
+    a: np.ndarray, jobs: Sequence[tuple[int, Sequence[int]]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The word ``recovery_parity_word`` finds for every (target, helpers)
+    job, 0-based columns already checked: ``words[k]`` where ``found[k]``,
+    a zero row elsewhere.
+
+    A job whose helpers + {target} hold some row of H with a 1 at the target
+    takes the first such row, by one test over a chunk of jobs. The other
+    jobs solve for the row mix u, one batched elimination per chunk of
+    _BLOCK_JOBS jobs: the unknowns are the rows of H, the equations are the
+    columns outside helpers + {target} (right-hand side 0) and the target
+    column (right-hand side 1), each packed as rows + 1 bits. Unknowns are
+    eliminated left to right on the first unused equation that holds them
+    and free unknowns are 0, so u is the solution ``solve`` gives (a reduced
+    echelon form is unique). An unused equation left holding its right-hand
+    side means the system is inconsistent. The words are u H.
+    """
+    rows, n = a.shape
+    mix = np.zeros((len(jobs), rows), dtype=np.uint8)
+    found = np.zeros(len(jobs), dtype=bool)
+    if not rows:
+        return mix @ a, found
+    packed_rows = _pack_rows(a)
+    misses = []
+    for start in range(0, len(jobs), _BLOCK_JOBS):
+        chunk = jobs[start : start + _BLOCK_JOBS]
+        targets = [target for target, _ in chunk]
+        outside = _pack_rows(~_allowed(n, chunk))
+        fits = (a[:, targets].T == 1) & ~(outside[:, None, :] & packed_rows).any(axis=2)
+        hit = fits.any(axis=1)
+        ks = np.arange(start, start + len(chunk))
+        mix[ks[hit], fits[hit].argmax(axis=1)] = 1
+        found[ks[hit]] = True
+        misses += ks[~hit].tolist()
+    # Column c of H over the rows, with room for the right-hand side as bit
+    # ``rows``; bit j of an equation is bit j % 64 of its limb j // 64.
+    aug = np.zeros((n, rows + 1), dtype=np.uint8)
+    aug[:, :rows] = a.T
+    columns = _pack_rows(aug)
+    bit = np.uint64(1) << np.arange(64, dtype=np.uint64)
+    rhs_limb, rhs_bit = divmod(rows, 64)
+    # One buffer of each kind serves every chunk.
+    block = min(_BLOCK_JOBS, len(misses))
+    equations = np.empty((2, block, n, columns.shape[1]), dtype=np.uint64)
+    marks = np.empty((3, block, n), dtype=bool)
+    for start in range(0, len(misses), _BLOCK_JOBS):
+        ks = misses[start : start + _BLOCK_JOBS]
+        chunk = [jobs[k] for k in ks]
+        targets = [target for target, _ in chunk]
+        each = np.arange(len(ks))
+        eqs, flips = equations[:, : len(ks)]
+        eqs[:] = columns
+        eqs[_allowed(n, chunk)] = 0
+        eqs[each, targets] = columns[targets]
+        eqs[each, targets, rhs_limb] |= bit[rhs_bit]
+        holds, candidates, used = marks[:, : len(ks)]
+        used[:] = False
+        # The equation holding each unknown's pivot; 0 for a free unknown.
+        pivots = np.zeros((len(ks), rows), dtype=np.intp)
+        pivoted = np.zeros((len(ks), rows), dtype=bool)
+        for j in range(rows):
+            # flips is scratch here: it is rewritten before it is read.
+            np.bitwise_and(eqs[:, :, j >> 6], bit[j & 63], out=flips[:, :, 0])
+            np.not_equal(flips[:, :, 0], 0, out=holds)
+            # holds and not used: the equations that may take the pivot.
+            np.greater(holds, used, out=candidates)
+            p = candidates.argmax(axis=1)
+            took = candidates[each, p]
+            if not took.any():
+                continue
+            holds[each, p] = False
+            holds &= took[:, None]
+            # Add the pivot equation to every other equation holding j.
+            np.multiply(eqs[each, p][:, None, :], holds[:, :, None], out=flips)
+            eqs ^= flips
+            used[each, p] |= took
+            pivots[:, j] = p
+            pivoted[:, j] = took
+        np.bitwise_and(eqs[:, :, rhs_limb], bit[rhs_bit], out=flips[:, :, 0])
+        rhs = flips[:, :, 0] != 0
+        solvable = ~(rhs & ~used).any(axis=1)
+        u = np.take_along_axis(rhs, pivots, axis=1) & pivoted
+        mix[ks] = u & solvable[:, None]
+        found[ks] = solvable
+    # uint8 sums wrap modulo 256, an even number, so their parity is exact.
+    words = mix @ a
+    words &= 1
+    return words, found

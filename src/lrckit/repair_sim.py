@@ -4,10 +4,12 @@ Each recovering set is realized by a parity word of the matrix through the
 erased coordinate; the lost symbol is the XOR of the helpers the word reads.
 Everything that does not depend on the codeword (each set's helpers and each
 coordinate's helper loads) comes from the verifier's realizing-word table,
-built once per (matrix, family) and shared with ``verify_family``. After the
-first call on a pair, a repair costs its input checks (the codeword's length,
-bits and parity checks) plus a gather of the helper bits: no parity word is
-solved and nothing is eliminated.
+built once per (matrix, family) and shared with ``verify_family``. The first
+call on a pair builds it with one call of the batched parity-word kernel
+``gf2._parity_words``, which finds the words of every set together. After
+that, a repair costs its input checks (the codeword's length, bits and
+parity checks) plus a gather of the helper bits: no parity word is found and
+nothing is eliminated.
 """
 
 from __future__ import annotations

@@ -21,10 +21,10 @@ from .errors import DimensionTooLarge, FamilyNotFound, InvalidParams, _integer
 from .gf2 import (
     BitMatrix,
     _pack_rows,
+    _parity_words,
     _span_blocks,
     _unpack_rows,
     rank,
-    recovery_parity_word,
     rref,
 )
 
@@ -224,12 +224,12 @@ class _Realized(NamedTuple):
     """What repair and verification need of a (matrix, family) pair.
 
     ``helpers[i][j]`` holds the ascending 1-based columns, other than
-    coordinate i + 1, of the word ``recovery_parity_word`` finds for set
-    j + 1 of that coordinate, or None when the set admits no parity word.
-    ``loads[i]`` lists the helpers of coordinate i + 1 ascending and how many
-    of its sets read each. ``pairs[j]`` is ``((j, 0), (j, 1))``, the (helper,
-    bit) pairs every repair trace shares. ``first_bad`` is the first 1-based
-    coordinate with a None entry, or None.
+    coordinate i + 1, of the parity word ``recovery_parity_word`` would
+    return for set j + 1 of that coordinate, or None when the set admits no
+    parity word. ``loads[i]`` lists the helpers of coordinate i + 1 ascending
+    and how many of its sets read each. ``pairs[j]`` is ``((j, 0), (j, 1))``,
+    the (helper, bit) pairs every repair trace shares. ``first_bad`` is the
+    first 1-based coordinate with a None entry, or None.
     """
 
     helpers: tuple[tuple[tuple[int, ...] | None, ...], ...]
@@ -238,29 +238,42 @@ class _Realized(NamedTuple):
     first_bad: int | None
 
 
+def _helper_ids(h: BitMatrix, family: RecoveringFamily) -> list[tuple[int, ...] | None]:
+    """For every recovering set, coordinate by coordinate, the ascending
+    1-based columns other than the coordinate that its parity word reads,
+    or None when it admits none: one call of the kernel gf2._parity_words."""
+    jobs = [
+        (i, [e - 1 for e in s])
+        for i, sets in enumerate(family.sets_by_coordinate)
+        for s in sets
+    ]
+    words, found = _parity_words(h.array, jobs)
+    # The coordinate itself is no helper.
+    words[np.arange(len(jobs)), [i for i, _ in jobs]] = 0
+    flat = np.flatnonzero(words)
+    bounds = np.searchsorted(flat, np.arange(len(jobs) + 1) * h.cols).tolist()
+    ids = (flat % h.cols + 1).tolist()
+    return [
+        tuple(ids[bounds[k] : bounds[k + 1]]) if ok else None
+        for k, ok in enumerate(found.tolist())
+    ]
+
+
 @lru_cache(maxsize=64)
 def _realizing_helpers(h: BitMatrix, family: RecoveringFamily) -> _Realized:
     """The realizing-word table of ``family`` over H, which verification and
-    repair share: one parity word per recovering set, found once."""
+    repair share: the parity word of every recovering set, all found by one
+    call of the batched kernel."""
+    realized = iter(_helper_ids(h, family))
     helpers = []
     loads = []
-    first_bad = None
-    for i, sets in enumerate(family.sets_by_coordinate):
-        row = []
-        load: Counter[int] = Counter()
-        for s in sets:
-            word = recovery_parity_word(h, i, [e - 1 for e in s])
-            if word is None:
-                row.append(None)
-                if first_bad is None:
-                    first_bad = i + 1
-            else:
-                ids = tuple(j + 1 for j in np.flatnonzero(word).tolist() if j != i)
-                row.append(ids)
-                load.update(ids)
-        helpers.append(tuple(row))
+    for sets in family.sets_by_coordinate:
+        row = tuple(next(realized) for _ in sets)
+        load = Counter(j for read in row if read for j in read)
+        helpers.append(row)
         read = tuple(sorted(load))
         loads.append((read, tuple(load[j] for j in read)))
+    first_bad = next((i + 1 for i, row in enumerate(helpers) if None in row), None)
     pairs = tuple(((j, 0), (j, 1)) for j in range(h.cols + 1))
     return _Realized(tuple(helpers), tuple(loads), pairs, first_bad)
 

@@ -66,6 +66,9 @@ CALLS = {
     "ones_cols": lambda v: BitMatrix.ones(3, v),
     "zeros_rows": lambda v: BitMatrix.zeros(v, 3),
     "zeros_cols": lambda v: BitMatrix.zeros(3, v),
+    "row": lambda v: CODE.H.row(v).tolist(),
+    "row_support": lambda v: CODE.H.row_support(v),
+    "column_support": lambda v: CODE.H.column_support(v),
 }
 
 
@@ -86,3 +89,14 @@ def test_zeros_shape():
     for rows, cols in ((-1, 3), (2, 0), (2, -1)):
         with pytest.raises(InvalidParams):
             BitMatrix.zeros(rows, cols)
+
+
+@pytest.mark.parametrize(
+    "call, index",
+    [("row", -1), ("row", 4), ("row_support", -1), ("row_support", 4),
+     ("column_support", -1), ("column_support", 12)],
+)
+def test_bitmatrix_index_out_of_range(call, index):
+    # xlrc(2,2,1) has 4 rows and 12 columns; a negative index does not wrap.
+    with pytest.raises(InvalidParams, match="out of range"):
+        CALLS[call](index)

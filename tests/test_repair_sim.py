@@ -362,8 +362,9 @@ def test_repair_errors_match_parity_word_oracle():
 
 
 def test_repair_builds_its_table_once(monkeypatch):
-    # The per-call cost is the input checks plus a gather: after the first
-    # repair on an (H, family), no call solves or eliminates anything.
+    # The table is built by one call of the batched parity-word kernel, with
+    # no per-set solve. After the first repair on an (H, family), no call
+    # solves or eliminates anything.
     code = build_xlrc(2, 3, 1)
     h, family = _presented(code, seed=43)
     rng = np.random.default_rng(44)
@@ -380,13 +381,13 @@ def test_repair_builds_its_table_once(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(
-        verifier, "recovery_parity_word", counted("parity", verifier.recovery_parity_word)
-    )
+    kernel = counted("kernel", verifier._parity_words)
+    monkeypatch.setattr(verifier, "_parity_words", kernel)
+    monkeypatch.setattr(gf2, "solve", counted("solve", gf2.solve))
     monkeypatch.setattr(gf2, "_rref", counted("rref", gf2._rref))
     verifier._realizing_helpers.cache_clear()
     simulate_repair(h, family, words[0], 1)
-    assert calls["parity"] == 3 * h.cols and calls["rref"] > 0
+    assert calls == {"kernel": 1}
     built = dict(calls)
     for word in words:
         for i in range(1, h.cols + 1):
