@@ -26,6 +26,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import sqrt
 from typing import Iterator, Sequence
@@ -94,8 +95,10 @@ def build_graph(family: RecoveringFamily) -> RecoveryGraph:
 _BLOCK_ENTRIES = 2**13
 
 
+@lru_cache(maxsize=64)
 def _member_table(family: RecoveringFamily) -> np.ndarray:
-    """(n, t, s) array of 0-based members per vertex and color.
+    """(n, t, s) array of 0-based members per vertex and color, read-only
+    and built once for each of the last 64 families.
 
     Short sets are padded with n, a member that always ranks below; missing
     colors are filled with n + 1, a member that never does (see _extend).
@@ -108,6 +111,7 @@ def _member_table(family: RecoveringFamily) -> np.ndarray:
         for l0, members in enumerate(sets):
             table[v0, l0] = n
             table[v0, l0, : len(members)] = sorted(e - 1 for e in members)
+    table.setflags(write=False)
     return table
 
 

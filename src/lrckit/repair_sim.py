@@ -2,25 +2,28 @@
 
 Each recovering set is realized by a parity word of the matrix through the
 erased coordinate; the lost symbol is the XOR of the helpers the word reads.
-Everything that does not depend on the codeword (each set's helpers and each
-coordinate's helper loads) comes from the verifier's realizing-word table,
-built once per (matrix, family) and shared with ``verify_family``. The first
-call on a pair builds it with one call of the batched parity-word kernel
-``gf2._parity_words``, which finds the words of every set together. After
-that, a repair costs its input checks (the codeword's length, bits and
-parity checks) plus a gather of the helper bits: no parity word is found and
-nothing is eliminated.
+Everything that does not depend on the codeword comes from two bounded
+caches. Per matrix (64 of them), ``_matrix_record`` holds the systematic
+nullspace basis that encodes messages and H's columns packed into 64-bit
+limbs for the parity test. Per (matrix, family), the verifier's
+realizing-word table holds each set's helpers as one flat column array with
+offsets, each coordinate's helper loads and the shared (helper, bit) pairs;
+``verify_family`` builds it with one call of the batched parity-word kernel
+``gf2._parity_words``. So an encode is one product with the basis, and a
+repair costs its input checks, one packed parity test and one gather of the
+helper bits: no parity word is found and nothing is eliminated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from functools import lru_cache
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import InvalidCodeword, InvalidParams, _integer
-from .gf2 import BitMatrix, _binary, nullspace_basis
+from .gf2 import BitMatrix, _as_array, _binary, _pack_rows, nullspace_basis
 from .verifier import RecoveringFamily, _realizing_helpers
 
 __all__ = ["RepairTrace", "systematic_encode", "simulate_repair"]
@@ -41,12 +44,38 @@ class RepairTrace:
     helper_load: Mapping[int, int]
 
 
-def systematic_encode(h: BitMatrix, message: Sequence[int]) -> np.ndarray:
+class _MatrixRecord(NamedTuple):
+    """What encoding and the parity test need of a matrix: the systematic
+    nullspace basis, one vector per row, and H's columns packed as uint64
+    limbs (column j of H is row j). Both are read-only."""
+
+    basis: np.ndarray
+    columns: np.ndarray
+
+
+@lru_cache(maxsize=64)
+def _matrix_record(h: BitMatrix) -> _MatrixRecord:
+    columns = _pack_rows(h.array.T)
+    columns.setflags(write=False)
+    return _MatrixRecord(nullspace_basis(h).array, columns)
+
+
+def _fails_checks(h: BitMatrix, cw: np.ndarray) -> bool:
+    """Whether the 0/1 uint8 vector ``cw`` fails a parity check of H: the
+    XOR of H's packed columns at the ones of ``cw`` is its syndrome."""
+    ones = _matrix_record(h).columns[cw.view(bool)]
+    return bool(np.bitwise_xor.reduce(ones).any())
+
+
+def systematic_encode(h: BitMatrix | np.ndarray, message: Sequence[int]) -> np.ndarray:
     """Embed a length-(cols - rank) message at the pivot-free columns of the
     reduced parity-check matrix and fill the pivot columns to satisfy every
-    check: the message times the systematic nullspace basis. The zero message
-    encodes to the zero codeword."""
-    basis = nullspace_basis(h).array
+    check: the message times the systematic nullspace basis. The basis is
+    eliminated once per matrix and kept for the last 64 matrices, so an
+    encode is one product. The zero message encodes to the zero codeword."""
+    if not isinstance(h, BitMatrix):
+        h = BitMatrix(_as_array(h))
+    basis = _matrix_record(h).basis
     msg = np.asarray(message)
     if msg.ndim != 1 or msg.shape[0] != basis.shape[0]:
         raise InvalidParams(f"message must have length {basis.shape[0]}")
@@ -64,7 +93,8 @@ def simulate_repair(
     """Repair the erased coordinate once per recovering set.
 
     Raises InvalidCodeword when the input fails the parity checks, and
-    InvalidParams when the family does not match the matrix.
+    InvalidParams when the family does not match the matrix. After the
+    checks, one gather reads every helper bit of the coordinate's sets.
     """
     if family.n != h.cols:
         raise InvalidParams("family length does not match matrix columns")
@@ -75,26 +105,24 @@ def simulate_repair(
     if cw.ndim != 1 or cw.shape[0] != h.cols:
         raise InvalidParams(f"codeword must have length {h.cols}")
     cw = _binary(cw, InvalidCodeword, "codeword entries must be 0 or 1")
-    if np.any((h.array @ cw) & 1):
+    if _fails_checks(h, cw):
         raise InvalidCodeword("vector fails the parity checks")
     table = _realizing_helpers(h, family)
     if table.first_bad is not None:
         raise InvalidParams(
             f"coordinate {table.first_bad}: a recovering set admits no parity word"
         )
-    # Index 0 pads the 1-based helper ids.
-    bits = (0, *cw.tolist())
-    pairs = table.pairs
-    recoveries = []
-    values = []
-    for ids in table.helpers[erased - 1]:
-        read = [bits[j] for j in ids]
-        recoveries.append(tuple([pairs[j][bit] for j, bit in zip(ids, read)]))
-        values.append(sum(read) & 1)
-    load_ids, load_counts = table.loads[erased - 1]
+    cuts = table.cuts[erased - 1]
+    lo = cuts[0]
+    columns = table.columns[lo : cuts[-1]]
+    read = cw[columns]
+    pairs = table.pairs[2 * columns + read].tolist()
+    # parity[m] is the XOR of the first m helper bits read.
+    parity = [0, *np.bitwise_xor.accumulate(read).tolist()]
+    spans = [(a - lo, b - lo) for a, b in zip(cuts, cuts[1:])]
     return RepairTrace(
         erased=erased,
-        recoveries=tuple(recoveries),
-        recovered_values=tuple(values),
-        helper_load=dict(zip(load_ids, load_counts)),
+        recoveries=tuple([tuple(pairs[a:b]) for a, b in spans]),
+        recovered_values=tuple([parity[a] ^ parity[b] for a, b in spans]),
+        helper_load=table.loads[erased - 1].copy(),
     )

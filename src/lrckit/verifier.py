@@ -226,37 +226,43 @@ class _Realized(NamedTuple):
     ``helpers[i][j]`` holds the ascending 1-based columns, other than
     coordinate i + 1, of the parity word ``recovery_parity_word`` would
     return for set j + 1 of that coordinate, or None when the set admits no
-    parity word. ``loads[i]`` lists the helpers of coordinate i + 1 ascending
-    and how many of its sets read each. ``pairs[j]`` is ``((j, 0), (j, 1))``,
-    the (helper, bit) pairs every repair trace shares. ``first_bad`` is the
+    parity word. Repair reads the same helpers as arrays: ``columns`` holds
+    them 0-based, set after set and coordinate after coordinate, and
+    ``cuts[i]`` lists where each set of coordinate i + 1 starts in it, then
+    where its last set ends. ``loads[i]`` maps each helper of coordinate
+    i + 1, ascending, to how many of its sets read it; a repair trace gets a
+    copy. ``pairs[2 * c + b]`` is the (helper, bit) pair ``(c + 1, b)``, an
+    object array whose tuples every repair trace shares. ``first_bad`` is the
     first 1-based coordinate with a None entry, or None.
     """
 
     helpers: tuple[tuple[tuple[int, ...] | None, ...], ...]
-    loads: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-    pairs: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
+    columns: np.ndarray
+    cuts: tuple[tuple[int, ...], ...]
+    loads: tuple[dict[int, int], ...]
+    pairs: np.ndarray
     first_bad: int | None
 
 
-def _helper_ids(h: BitMatrix, family: RecoveringFamily) -> list[tuple[int, ...] | None]:
-    """For every recovering set, coordinate by coordinate, the ascending
-    1-based columns other than the coordinate that its parity word reads,
-    or None when it admits none: one call of the kernel gf2._parity_words."""
+def _helper_columns(
+    h: BitMatrix, family: RecoveringFamily
+) -> tuple[np.ndarray, list[int], list[bool]]:
+    """The 0-based columns other than the coordinate that the parity word of
+    each recovering set reads, set after set in one flat array, with the
+    offsets where each set's columns start and end and whether the set has a
+    word at all: one call of the kernel gf2._parity_words."""
     jobs = [
         (i, [e - 1 for e in s])
         for i, sets in enumerate(family.sets_by_coordinate)
         for s in sets
     ]
     words, found = _parity_words(h.array, jobs)
-    # The coordinate itself is no helper.
+    # The coordinate itself is no helper; a set without a word has a zero row.
     words[np.arange(len(jobs)), [i for i, _ in jobs]] = 0
-    flat = np.flatnonzero(words)
-    bounds = np.searchsorted(flat, np.arange(len(jobs) + 1) * h.cols).tolist()
-    ids = (flat % h.cols + 1).tolist()
-    return [
-        tuple(ids[bounds[k] : bounds[k + 1]]) if ok else None
-        for k, ok in enumerate(found.tolist())
-    ]
+    columns = np.flatnonzero(words)
+    bounds = np.searchsorted(columns, np.arange(len(jobs) + 1) * h.cols).tolist()
+    columns %= h.cols
+    return columns, bounds, found.tolist()
 
 
 @lru_cache(maxsize=64)
@@ -264,18 +270,32 @@ def _realizing_helpers(h: BitMatrix, family: RecoveringFamily) -> _Realized:
     """The realizing-word table of ``family`` over H, which verification and
     repair share: the parity word of every recovering set, all found by one
     call of the batched kernel."""
-    realized = iter(_helper_ids(h, family))
+    columns, bounds, found = _helper_columns(h, family)
+    columns.setflags(write=False)
     helpers = []
+    cuts = []
     loads = []
+    k = 0
     for sets in family.sets_by_coordinate:
-        row = tuple(next(realized) for _ in sets)
-        load = Counter(j for read in row if read for j in read)
-        helpers.append(row)
-        read = tuple(sorted(load))
-        loads.append((read, tuple(load[j] for j in read)))
+        end = k + len(sets)
+        lo = bounds[k]
+        ids = (columns[lo : bounds[end]] + 1).tolist()
+        helpers.append(
+            tuple(
+                tuple(ids[bounds[m] - lo : bounds[m + 1] - lo]) if found[m] else None
+                for m in range(k, end)
+            )
+        )
+        cuts.append(tuple(bounds[k : end + 1]))
+        load = Counter(ids)
+        loads.append({j: load[j] for j in sorted(load)})
+        k = end
     first_bad = next((i + 1 for i, row in enumerate(helpers) if None in row), None)
-    pairs = tuple(((j, 0), (j, 1)) for j in range(h.cols + 1))
-    return _Realized(tuple(helpers), tuple(loads), pairs, first_bad)
+    pairs = np.empty(2 * h.cols, dtype=object)
+    for p in range(pairs.size):
+        pairs[p] = (p // 2 + 1, p % 2)
+    pairs.setflags(write=False)
+    return _Realized(tuple(helpers), columns, tuple(cuts), tuple(loads), pairs, first_bad)
 
 
 def verify_family(

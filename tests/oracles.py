@@ -340,6 +340,12 @@ def parity_words_by_set(matrix: BitMatrix, family) -> list[list[np.ndarray | Non
     ]
 
 
+def fails_parity_by_product(matrix: BitMatrix, codeword) -> bool:
+    """Whether a 0/1 vector fails a parity check of H: the syndrome as an
+    integer matrix-vector product, reduced mod 2."""
+    return bool(np.any((matrix.array.astype(np.int64) @ np.asarray(codeword)) % 2))
+
+
 def repair_trace_by_parity_word(matrix: BitMatrix, family, codeword, erased, words=None):
     """simulate_repair read literally: the same input checks in the same
     order, then per recovering set of the erased coordinate, the helpers are

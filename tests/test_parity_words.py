@@ -16,6 +16,7 @@ from lrckit import (
     build_xlrc,
     canonical_family,
     discover_family,
+    simulate_repair,
 )
 from lrckit import gf2, verifier
 from oracles import parity_word_by_row_loop
@@ -170,8 +171,12 @@ def test_table_with_coordinates_without_sets():
         h, RecoveringFamily(n=h.cols, sets_by_coordinate=tuple(sets))
     )
     assert table.helpers[0] == table.helpers[4] == ()
-    assert table.loads[0] == table.loads[4] == ((), ())
+    assert table.loads[0] == table.loads[4] == {}
+    assert len(table.cuts[0]) == len(table.cuts[4]) == 1
     assert table.first_bad is None
+    family = RecoveringFamily(n=h.cols, sets_by_coordinate=tuple(sets))
+    trace = simulate_repair(h, family, np.zeros(h.cols, dtype=np.uint8), 5)
+    assert (trace.recoveries, trace.recovered_values, trace.helper_load) == ((), (), {})
     bare = verifier._realizing_helpers(
         h, RecoveringFamily(n=h.cols, sets_by_coordinate=((),) * h.cols)
     )

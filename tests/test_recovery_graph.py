@@ -620,3 +620,42 @@ def test_negative_seed_or_trial_is_invalid():
         with pytest.raises(InvalidParams):
             trial_permutation(seed, trial, n)
     assert issubclass(InvalidParams, ValueError)
+
+
+@pytest.mark.parametrize(
+    "family",
+    [canonical_family(build_xlrc(2, 2, 1, convention="complement")), RAGGED],
+    ids=["n12", "ragged"],
+)
+def test_member_table_built_once_per_family(family):
+    graph = build_graph(family)
+    taus = [trial_permutation(17, k, family.n) for k in range(20)]
+    _member_table.cache_clear()
+    outcomes = [color_vertices(graph, family, tau) for tau in taus]
+    sweeps = [structural_sweep(family, outcome) for outcome in outcomes]
+    stats = monte_carlo_colored_fraction(graph, family, 300, 4)
+    info = _member_table.cache_info()
+    assert (info.misses, info.maxsize) == (1, 64)
+    # An equal family built afresh is the same key; the table is read-only.
+    twin = RecoveringFamily(
+        n=family.n,
+        sets_by_coordinate=tuple(
+            tuple(frozenset(sorted(s)) for s in sets) for sets in family.sets_by_coordinate
+        ),
+    )
+    table = _member_table(twin)
+    assert _member_table.cache_info().misses == 1
+    with pytest.raises(ValueError):
+        table[0, 0, 0] = 0
+    # Results match the rule, the subset sweep, and a table built per call.
+    mean, stderr = monte_carlo_by_rule(family.sets_by_coordinate, family.n, 300, 4)
+    assert (stats.mean.hex(), stats.stderr.hex()) == (mean.hex(), stderr.hex())
+    for tau, outcome, swept in zip(taus, outcomes, sweeps):
+        assert list(outcome.colors) == colors_by_rule(family.sets_by_coordinate, tau)
+        assert swept == sweep_by_subsets(graph, family, outcome)
+        _member_table.cache_clear()
+        assert color_vertices(graph, family, tau) == outcome
+        _member_table.cache_clear()
+        assert structural_sweep(family, outcome) is swept
+    _member_table.cache_clear()
+    assert monte_carlo_colored_fraction(graph, family, 300, 4) == stats

@@ -19,10 +19,11 @@ from lrckit import (
     systematic_encode,
     verify_family,
 )
-from lrckit import gf2, verifier
+from lrckit import gf2, repair_sim, verifier
 from known_matrices import WZL_42_INCIDENCE, XLRC_221_COMPLEMENT
 from oracles import (
     codewords_by_brute_force,
+    fails_parity_by_product,
     parity_words_by_set,
     repair_trace_by_parity_word,
 )
@@ -361,17 +362,8 @@ def test_repair_errors_match_parity_word_oracle():
     assert [i for i, text in report.failures if "admits no parity word" in text] == [7, 12]
 
 
-def test_repair_builds_its_table_once(monkeypatch):
-    # The table is built by one call of the batched parity-word kernel, with
-    # no per-set solve. After the first repair on an (H, family), no call
-    # solves or eliminates anything.
-    code = build_xlrc(2, 3, 1)
-    h, family = _presented(code, seed=43)
-    rng = np.random.default_rng(44)
-    words = [
-        systematic_encode(h, rng.integers(0, 2, size=code.params.k, dtype=np.uint8))
-        for _ in range(3)
-    ]
+def _counting(monkeypatch):
+    """Count calls of the batched parity-word kernel, solve and _rref."""
     calls = Counter()
 
     def counted(name, fn):
@@ -385,11 +377,158 @@ def test_repair_builds_its_table_once(monkeypatch):
     monkeypatch.setattr(verifier, "_parity_words", kernel)
     monkeypatch.setattr(gf2, "solve", counted("solve", gf2.solve))
     monkeypatch.setattr(gf2, "_rref", counted("rref", gf2._rref))
+    return calls
+
+
+def test_repair_builds_its_table_once(monkeypatch):
+    # The table is built by one call of the batched parity-word kernel, with
+    # no per-set solve. The basis is eliminated once for all encodes, and no
+    # repair after the table build solves or eliminates anything.
+    code = build_xlrc(2, 3, 1)
+    h, family = _presented(code, seed=43)
+    rng = np.random.default_rng(44)
+    calls = _counting(monkeypatch)
+    repair_sim._matrix_record.cache_clear()
     verifier._realizing_helpers.cache_clear()
+    words = [
+        systematic_encode(h, rng.integers(0, 2, size=code.params.k, dtype=np.uint8))
+        for _ in range(3)
+    ]
+    assert calls == {"rref": 1}
     simulate_repair(h, family, words[0], 1)
-    assert calls == {"kernel": 1}
+    assert calls == {"rref": 1, "kernel": 1}
     built = dict(calls)
     for word in words:
         for i in range(1, h.cols + 1):
             simulate_repair(h, family, word, i)
     assert calls == built
+    # A table built by verification serves repair the same way.
+    other = _presented(code, seed=45)
+    assert verify_family(*other, code.params.r, 3, 1).ok
+    built = dict(calls, kernel=2, rref=2)
+    word = systematic_encode(other[0], np.ones(code.params.k, dtype=np.uint8))
+    assert calls == built
+    for i in range(1, h.cols + 1):
+        simulate_repair(*other, word, i)
+    assert calls == built
+
+
+def test_encode_eliminates_once_per_matrix(monkeypatch):
+    h = BitMatrix(XLRC_221_COMPLEMENT)
+    rng = np.random.default_rng(46)
+    messages = rng.integers(0, 2, size=(100, 9), dtype=np.uint8)
+    calls = _counting(monkeypatch)
+    repair_sim._matrix_record.cache_clear()
+    words = [systematic_encode(h, m) for m in messages]
+    assert calls == {"rref": 1}
+    twin = BitMatrix(np.array(XLRC_221_COMPLEMENT).tolist())
+    assert twin is not h
+    plain = np.array(XLRC_221_COMPLEMENT)
+    for m, word in zip(messages, words):
+        assert np.array_equal(systematic_encode(twin, m), word)
+        assert np.array_equal(systematic_encode(plain, m), word)
+    assert calls == {"rref": 1}
+    # The cached record is read-only, and both repair caches are bounded.
+    record = repair_sim._matrix_record(h)
+    for array in record:
+        with pytest.raises(ValueError):
+            array[0, 0] = 1
+    assert np.array_equal(record.basis, gf2.nullspace_basis(h).array)
+    assert repair_sim._matrix_record.cache_info().maxsize == 64
+    assert verifier._realizing_helpers.cache_info().maxsize == 64
+
+
+@pytest.mark.parametrize("rows", [1, 63, 64, 65, 129])
+def test_packed_parity_test_matches_product(rows):
+    rng = np.random.default_rng(rows)
+    for cols in sorted({1, 2, 300, *rng.integers(1, 301, size=5).tolist()}):
+        h = BitMatrix(rng.integers(0, 2, size=(rows, cols), dtype=np.uint8))
+        k = cols - rank(h)
+        vectors = [rng.integers(0, 2, size=cols, dtype=np.uint8) for _ in range(4)]
+        for _ in range(3):
+            word = systematic_encode(h, rng.integers(0, 2, size=k, dtype=np.uint8))
+            assert not repair_sim._fails_checks(h, word)
+            vectors.append(word)
+        # Every single-bit flip of the last codeword.
+        for j in range(cols):
+            flipped = word.copy()
+            flipped[j] ^= 1
+            vectors.append(flipped)
+        for v in vectors:
+            assert repair_sim._fails_checks(h, v) == fails_parity_by_product(h, v)
+
+
+def test_matrix_without_rows_names_coordinate_one():
+    n = 4
+    h = BitMatrix.zeros(0, n)
+    family = RecoveringFamily(
+        n=n, sets_by_coordinate=tuple((frozenset({i % n + 1}),) for i in range(1, n + 1))
+    )
+    word = systematic_encode(h, [1, 0, 1, 1])
+    assert word.tolist() == [1, 0, 1, 1]
+    assert not repair_sim._fails_checks(h, word)
+    text = "^coordinate 1: a recovering set admits no parity word$"
+    with pytest.raises(InvalidParams, match=text):
+        simulate_repair(h, family, word, 2)
+
+
+def test_codeword_forms_give_identical_traces():
+    code = build_xlrc(2, 3, 1)
+    h, family = _presented(code, seed=47)
+    message = np.random.default_rng(48).integers(0, 2, size=code.params.k, dtype=np.uint8)
+    word = systematic_encode(h, message)
+    strided = np.repeat(word, 2)[::2]
+    reversed_ = word[::-1].copy()[::-1]
+    assert not strided.flags.contiguous and not reversed_.flags.contiguous
+    forms = [
+        word.astype(bool),
+        word.astype(np.int64),
+        word.astype(float),
+        strided,
+        reversed_,
+        word.tolist(),
+    ]
+    for i in range(1, h.cols + 1):
+        t = simulate_repair(h, family, word, i)
+        want = (t.erased, t.recoveries, t.recovered_values, t.helper_load)
+        for form in forms:
+            _same_trace(simulate_repair(h, family, form, i), want)
+    flipped = word.copy()
+    flipped[0] ^= 1
+    twos = np.where(word == 1, 2, 0).astype(np.uint8)
+    not_bits, parity = "codeword entries must be 0 or 1", "vector fails the parity checks"
+    bad = [
+        (np.where(word == 1, 2, 0), not_bits),
+        (word * 0.5, not_bits),
+        (np.repeat(twos, 2)[::2], not_bits),
+        (np.repeat(flipped, 2)[::2], parity),
+        (flipped.astype(bool), parity),
+    ]
+    for cw, text in bad:
+        with pytest.raises(InvalidCodeword) as info:
+            simulate_repair(h, family, cw, 1)
+        assert str(info.value) == text
+
+
+def test_set_whose_word_reads_no_helper():
+    # Rows 1 and 2 of H sum to the unit word at coordinate 1, so c_1 = 0 on
+    # every codeword. Set {4} of coordinate 1 is realized by that word alone
+    # and reads no helper, between two sets that row 1 realizes.
+    h = BitMatrix([[1, 1, 1, 0, 0], [0, 1, 1, 0, 0], [0, 0, 0, 1, 1]])
+    family = RecoveringFamily(
+        n=5,
+        sets_by_coordinate=(
+            (frozenset({2, 3}), frozenset({4}), frozenset({2, 3, 5})),
+            (frozenset({3}),),
+            (frozenset({2}),),
+            (frozenset({5}),),
+            (frozenset({4}),),
+        ),
+    )
+    for message in ([0, 0], [1, 0], [0, 1], [1, 1]):
+        word = systematic_encode(h, message)
+        for i in range(1, 6):
+            trace = simulate_repair(h, family, word, i)
+            _same_trace(trace, repair_trace_by_parity_word(h, family, word, i))
+        reads = simulate_repair(h, family, word, 1).recoveries
+        assert [len(r) for r in reads] == [2, 0, 2]
