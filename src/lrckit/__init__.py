@@ -34,7 +34,6 @@ from .gf2 import (
     rank,
     recovery_parity_word,
     rref,
-    solve,
 )
 from .params import CodeParams
 from .recovery_graph import (
@@ -107,7 +106,6 @@ __all__ = [
     "recovery_parity_word",
     "rref",
     "simulate_repair",
-    "solve",
     "structural_check",
     "structural_sweep",
     "systematic_encode",

@@ -1,7 +1,7 @@
 """Command-line front end and the on-disk matrix format.
 
 Subcommands: construct, bounds, verify, graph, simulate. Exit codes: 0 on
-success, 1 when a verified property fails, 2 on usage or parse errors.
+success, 1 when a verified property fails, 2 on usage, parse or file errors.
 
 Matrix files are text: a "rows cols" header line, then one line of 0/1
 characters per row, LF terminated.
@@ -81,7 +81,16 @@ def parse_matrix(text: str) -> BitMatrix:
 
 
 def load_matrix(path: str | Path) -> BitMatrix:
-    return parse_matrix(Path(path).read_text())
+    """Read a matrix file as UTF-8 text with universal newlines, as
+    ``Path.read_text`` does, and parse it; a byte that is not UTF-8 is a
+    ParseError naming its line."""
+    data = Path(path).read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(line, f"byte 0x{data[exc.start]:02X} is not UTF-8 text") from None
+    return parse_matrix(text)
 
 
 def _fraction_line(label: str, value: Fraction) -> str:
@@ -344,7 +353,7 @@ def main(argv: list[str] | None = None) -> int:
     except (FamilyNotFound, InvalidCodeword) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (LrckitError, FileNotFoundError) as exc:
+    except (LrckitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -22,7 +22,6 @@ __all__ = [
     "rref",
     "nullspace_basis",
     "iter_codeword_blocks",
-    "solve",
     "recovery_parity_word",
 ]
 
@@ -32,7 +31,8 @@ ENUMERATION_CAP = 25
 _BLOCK_BITS = 16
 
 # Jobs per chunk of the parity-word kernel; a chunk's elimination holds two
-# uint64 arrays of jobs x cols x ceil((rows + 1) / 64) limbs.
+# uint64 arrays of jobs x cols x ceil((rows + 1) / 64) limbs, and its words
+# one uint8 array of jobs x cols.
 _BLOCK_JOBS = 2**6
 
 
@@ -258,27 +258,6 @@ def iter_codeword_blocks(
         yield _unpack_rows(block, a.shape[1])
 
 
-def solve(a: BitMatrix | np.ndarray, b: Sequence[int] | np.ndarray) -> np.ndarray | None:
-    """One solution x of A x = b over GF(2), or None if inconsistent.
-
-    Free variables are set to zero, so the answer is deterministic.
-    """
-    coeff = _as_array(a)
-    rhs = np.asarray(b).reshape(-1, 1)
-    rhs = _binary(rhs, InvalidParams, "matrix entries must be 0 or 1")
-    if rhs.shape[0] != coeff.shape[0]:
-        raise InvalidParams("right-hand side length does not match row count")
-    n = coeff.shape[1]
-    reduced, pivots = _rref(np.hstack([coeff, rhs]))
-    # The right-hand column is eliminated last, so it takes a pivot iff some
-    # row reduces to 0 = 1.
-    if pivots and pivots[-1] == n:
-        return None
-    x = np.zeros(n, dtype=np.uint8)
-    x[list(pivots)] = reduced[: len(pivots), n]
-    return x
-
-
 def recovery_parity_word(
     matrix: BitMatrix | np.ndarray, target: int, helpers: Iterable[int]
 ) -> np.ndarray | None:
@@ -288,10 +267,10 @@ def recovery_parity_word(
     ``target`` and ``helpers`` are 0-based column indices. Such a word
     certifies that coordinate ``target`` of every codeword is the XOR of the
     coordinates in w's support minus target. This is a one-job call of the
-    parity-word kernel: the first row of H that qualifies is returned as is;
-    failing that, w is the row combination the kernel's elimination finds.
-    None is returned only when that linear system is inconsistent, so no
-    such word exists.
+    parity-word kernel, rebuilt from its helper columns plus the target: the
+    first row of H that qualifies is returned as is; failing that, w is the
+    row combination the kernel's elimination finds. None is returned only
+    when that linear system is inconsistent, so no such word exists.
     """
     a = _as_array(matrix)
     n = a.shape[1]
@@ -301,8 +280,13 @@ def recovery_parity_word(
     helpers = [_integer(j, "helper") for j in helpers]
     if not all(0 <= j < n for j in helpers):
         raise InvalidParams("helper column out of range")
-    words, found = _parity_words(a, [(target, helpers)])
-    return words[0] if found[0] else None
+    columns, _, found = _parity_words(a, [(target, helpers)])
+    if not found[0]:
+        return None
+    word = np.zeros(n, dtype=np.uint8)
+    word[columns] = 1
+    word[target] = 1
+    return word
 
 
 def _allowed(n: int, jobs: Sequence[tuple[int, Sequence[int]]]) -> np.ndarray:
@@ -320,10 +304,11 @@ def _allowed(n: int, jobs: Sequence[tuple[int, Sequence[int]]]) -> np.ndarray:
 
 def _parity_words(
     a: np.ndarray, jobs: Sequence[tuple[int, Sequence[int]]]
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The word ``recovery_parity_word`` finds for every (target, helpers)
-    job, 0-based columns already checked: ``words[k]`` where ``found[k]``,
-    a zero row elsewhere.
+    job, 0-based columns already checked, as ``(columns, bounds, found)``:
+    ``columns[bounds[k] : bounds[k + 1]]`` holds the ascending columns of
+    job k's word other than its target, empty where ``found[k]`` is False.
 
     A job whose helpers + {target} hold some row of H with a 1 at the target
     takes the first such row, by one test over a chunk of jobs. The other
@@ -332,15 +317,17 @@ def _parity_words(
     columns outside helpers + {target} (right-hand side 0) and the target
     column (right-hand side 1), each packed as rows + 1 bits. Unknowns are
     eliminated left to right on the first unused equation that holds them
-    and free unknowns are 0, so u is the solution ``solve`` gives (a reduced
-    echelon form is unique). An unused equation left holding its right-hand
-    side means the system is inconsistent. The words are u H.
+    and free unknowns are 0, so u is the solution the oracle
+    ``tests/oracles.py::solve_by_pivot_limit`` gives (a reduced echelon form
+    is unique). An unused equation left holding its right-hand side means
+    the system is inconsistent. The words are u H, formed one chunk of
+    _BLOCK_JOBS jobs at a time, so no (jobs, n) array is ever held.
     """
     rows, n = a.shape
     mix = np.zeros((len(jobs), rows), dtype=np.uint8)
     found = np.zeros(len(jobs), dtype=bool)
     if not rows:
-        return mix @ a, found
+        return np.empty(0, dtype=np.intp), np.zeros(len(jobs) + 1, dtype=np.intp), found
     packed_rows = _pack_rows(a)
     misses = []
     for start in range(0, len(jobs), _BLOCK_JOBS):
@@ -403,7 +390,15 @@ def _parity_words(
         u = np.take_along_axis(rhs, pivots, axis=1) & pivoted
         mix[ks] = u & solvable[:, None]
         found[ks] = solvable
-    # uint8 sums wrap modulo 256, an even number, so their parity is exact.
-    words = mix @ a
-    words &= 1
-    return words, found
+    parts = [np.empty(0, dtype=np.intp)]
+    bounds = np.zeros(len(jobs) + 1, dtype=np.intp)
+    for start in range(0, len(jobs), _BLOCK_JOBS):
+        chunk = jobs[start : start + _BLOCK_JOBS]
+        # uint8 sums wrap modulo 256, an even number, so their parity is exact.
+        words = mix[start : start + len(chunk)] @ a
+        words &= 1
+        # The target is no helper; a job without a word has a zero row.
+        words[np.arange(len(chunk)), [target for target, _ in chunk]] = 0
+        parts.append(np.flatnonzero(words) % n)
+        bounds[start + 1 : start + len(chunk) + 1] = np.count_nonzero(words, axis=1)
+    return np.concatenate(parts), np.cumsum(bounds), found

@@ -7,11 +7,13 @@ caches. Per matrix (64 of them), ``_matrix_record`` holds the systematic
 nullspace basis that encodes messages and H's columns packed into 64-bit
 limbs for the parity test. Per (matrix, family), the verifier's
 realizing-word table holds each set's helpers as one flat column array with
-offsets, each coordinate's helper loads and the shared (helper, bit) pairs;
-``verify_family`` builds it with one call of the batched parity-word kernel
-``gf2._parity_words``. So an encode is one product with the basis, and a
-repair costs its input checks, one packed parity test and one gather of the
-helper bits: no parity word is found and nothing is eliminated.
+offsets, each coordinate's helper loads, the shared (helper, bit) pairs and
+the sets that admit no parity word. Repair or ``verify_family``, whichever
+comes first, builds it with one call of the batched parity-word kernel
+``gf2._parity_words``, which returns the helper columns in that flat layout.
+So an encode is one product with the basis, and a repair costs its input
+checks, one packed parity test and one gather of the helper bits: no parity
+word is found and nothing is eliminated.
 """
 
 from __future__ import annotations
@@ -108,9 +110,9 @@ def simulate_repair(
     if _fails_checks(h, cw):
         raise InvalidCodeword("vector fails the parity checks")
     table = _realizing_helpers(h, family)
-    if table.first_bad is not None:
+    if table.unrealized:
         raise InvalidParams(
-            f"coordinate {table.first_bad}: a recovering set admits no parity word"
+            f"coordinate {table.unrealized[0][0]}: a recovering set admits no parity word"
         )
     cuts = table.cuts[erased - 1]
     lo = cuts[0]

@@ -68,6 +68,7 @@ class RecoveringFamily:
     sets_by_coordinate: tuple[tuple[frozenset[int], ...], ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", _integer(self.n, "n"))
         if self.n < 1 or len(self.sets_by_coordinate) != self.n:
             raise InvalidParams("family must list sets for each of the n coordinates")
         for i, sets in enumerate(self.sets_by_coordinate, start=1):
@@ -158,8 +159,9 @@ def candidate_sets(
 ) -> tuple[frozenset[int], ...]:
     """Candidate recovering sets for 1-based coordinate i: supports of dual
     words of weight <= r + 1 containing i, minus i itself. Deduplicated and
-    sorted lexicographically. This is row i of the table discover_family
-    searches; AUTO resolves as in resolve_search_mode."""
+    sorted lexicographically. With the same ``mode`` this is row i of the
+    table discover_family searches; note that the defaults differ
+    (rows-only here, AUTO there). AUTO resolves as in resolve_search_mode."""
     if not 1 <= _integer(i, "i") <= h.cols:
         raise InvalidParams(f"coordinate {i} out of range 1..{h.cols}")
     return _candidate_table(h, r, resolve_search_mode(h, mode))[i - 1]
@@ -223,79 +225,57 @@ def _pick_sets(
 class _Realized(NamedTuple):
     """What repair and verification need of a (matrix, family) pair.
 
-    ``helpers[i][j]`` holds the ascending 1-based columns, other than
-    coordinate i + 1, of the parity word ``recovery_parity_word`` would
-    return for set j + 1 of that coordinate, or None when the set admits no
-    parity word. Repair reads the same helpers as arrays: ``columns`` holds
-    them 0-based, set after set and coordinate after coordinate, and
-    ``cuts[i]`` lists where each set of coordinate i + 1 starts in it, then
-    where its last set ends. ``loads[i]`` maps each helper of coordinate
-    i + 1, ascending, to how many of its sets read it; a repair trace gets a
-    copy. ``pairs[2 * c + b]`` is the (helper, bit) pair ``(c + 1, b)``, an
-    object array whose tuples every repair trace shares. ``first_bad`` is the
-    first 1-based coordinate with a None entry, or None.
+    ``columns`` holds, 0-based and ascending, the columns other than the
+    coordinate of the parity word ``recovery_parity_word`` would return for
+    each recovering set, set after set and coordinate after coordinate; a
+    set that admits no parity word holds none. ``cuts[i]`` lists where each
+    set of coordinate i + 1 starts in ``columns``, then where its last set
+    ends. ``loads[i]`` maps each helper of coordinate i + 1, ascending, to
+    how many of its sets read it; a repair trace gets a copy.
+    ``pairs[2 * c + b]`` is the (helper, bit) pair ``(c + 1, b)``, an object
+    array whose tuples every repair trace shares. ``unrealized`` lists the
+    1-based (coordinate, set) pairs that admit no parity word, in order.
     """
 
-    helpers: tuple[tuple[tuple[int, ...] | None, ...], ...]
     columns: np.ndarray
     cuts: tuple[tuple[int, ...], ...]
     loads: tuple[dict[int, int], ...]
     pairs: np.ndarray
-    first_bad: int | None
-
-
-def _helper_columns(
-    h: BitMatrix, family: RecoveringFamily
-) -> tuple[np.ndarray, list[int], list[bool]]:
-    """The 0-based columns other than the coordinate that the parity word of
-    each recovering set reads, set after set in one flat array, with the
-    offsets where each set's columns start and end and whether the set has a
-    word at all: one call of the kernel gf2._parity_words."""
-    jobs = [
-        (i, [e - 1 for e in s])
-        for i, sets in enumerate(family.sets_by_coordinate)
-        for s in sets
-    ]
-    words, found = _parity_words(h.array, jobs)
-    # The coordinate itself is no helper; a set without a word has a zero row.
-    words[np.arange(len(jobs)), [i for i, _ in jobs]] = 0
-    columns = np.flatnonzero(words)
-    bounds = np.searchsorted(columns, np.arange(len(jobs) + 1) * h.cols).tolist()
-    columns %= h.cols
-    return columns, bounds, found.tolist()
+    unrealized: tuple[tuple[int, int], ...]
 
 
 @lru_cache(maxsize=64)
 def _realizing_helpers(h: BitMatrix, family: RecoveringFamily) -> _Realized:
     """The realizing-word table of ``family`` over H, which verification and
     repair share: the parity word of every recovering set, all found by one
-    call of the batched kernel."""
-    columns, bounds, found = _helper_columns(h, family)
+    call of the batched kernel gf2._parity_words."""
+    # The job list is only an argument, so it is freed before the loads are.
+    columns, bounds, found = _parity_words(
+        h.array,
+        [
+            (i, [e - 1 for e in s])
+            for i, sets in enumerate(family.sets_by_coordinate)
+            for s in sets
+        ],
+    )
     columns.setflags(write=False)
-    helpers = []
+    bounds, found = bounds.tolist(), found.tolist()
     cuts = []
     loads = []
+    unrealized = []
     k = 0
-    for sets in family.sets_by_coordinate:
+    for i, sets in enumerate(family.sets_by_coordinate, start=1):
         end = k + len(sets)
-        lo = bounds[k]
-        ids = (columns[lo : bounds[end]] + 1).tolist()
-        helpers.append(
-            tuple(
-                tuple(ids[bounds[m] - lo : bounds[m + 1] - lo]) if found[m] else None
-                for m in range(k, end)
-            )
-        )
         cuts.append(tuple(bounds[k : end + 1]))
-        load = Counter(ids)
+        load = Counter((columns[bounds[k] : bounds[end]] + 1).tolist())
         loads.append({j: load[j] for j in sorted(load)})
+        unrealized += [(i, m - k + 1) for m in range(k, end) if not found[m]]
         k = end
-    first_bad = next((i + 1 for i, row in enumerate(helpers) if None in row), None)
     pairs = np.empty(2 * h.cols, dtype=object)
     for p in range(pairs.size):
         pairs[p] = (p // 2 + 1, p % 2)
     pairs.setflags(write=False)
-    return _Realized(tuple(helpers), columns, tuple(cuts), tuple(loads), pairs, first_bad)
+    return _Realized(columns, tuple(cuts), tuple(loads), pairs, tuple(unrealized))
 
 
 def verify_family(
@@ -314,17 +294,17 @@ def verify_family(
     S = R + {i} holds the unit word at i, iff no word of its dual, the dual
     code of H shortened to S, has a 1 at i. ``recovery_parity_word``
     returns None only when the linear system for such a word is
-    inconsistent, so each None entry of the realizing-word table is one
-    defect, reported once as "admits no parity word", with or without
+    inconsistent, so each set the realizing-word table lists as unrealized
+    is one defect, reported once as "admits no parity word", with or without
     ``deep``. ``deep`` only sets ``deep_checked``, when the dimension is at
-    most DEEP_CHECK_DIM_CAP: the separation verdict is that same entry, and
+    most DEEP_CHECK_DIM_CAP: the separation verdict is that same list, and
     no codeword is enumerated. Failures are data, not errors; r, t and x
     must be integers, but a value out of range is a failure.
     """
     if family.n != h.cols:
         raise InvalidParams("family length does not match matrix columns")
     r, t, x = _integer(r, "r"), _integer(t, "t"), _integer(x, "x")
-    helpers = _realizing_helpers(h, family).helpers
+    unrealized = _realizing_helpers(h, family).unrealized
     deep_checked = deep and h.cols - rank(h) <= DEEP_CHECK_DIM_CAP
     failures: list[tuple[int, str]] = []
     overlaps: list[int] = []
@@ -343,9 +323,7 @@ def verify_family(
                     (i, f"sets {a + 1} and {b + 1} intersect in {inter} > x={x}")
                 )
         overlaps.append(max_int)
-        for j, ids in enumerate(helpers[i - 1], start=1):
-            if ids is None:
-                failures.append((i, f"set {j} admits no parity word through {i}"))
+    failures += [(i, f"set {j} admits no parity word through {i}") for i, j in unrealized]
     ordered = tuple(sorted(failures))
     return VerificationReport(
         ok=not ordered,

@@ -187,6 +187,34 @@ def test_verify_missing_file(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (None, "Is a directory"),
+        (b"\xff2 3\n", "line 1: byte 0xFF is not UTF-8 text"),
+        (b"1 3\r\n0\xff1\r\n", "line 2: byte 0xFF is not UTF-8 text"),
+    ],
+    ids=["directory", "ff-header", "ff-row"],
+)
+def test_verify_unreadable_matrix_is_one_error_line(tmp_path, capsys, content, message):
+    # exit 1 would claim a verified property failed; this is a bad input.
+    path = tmp_path / "h.txt"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    assert main(["verify", str(path), "1", "1", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+def test_load_matrix_reads_universal_newlines(tmp_path):
+    path = tmp_path / "h.txt"
+    path.write_bytes(b"2 3\r011\r\n101\n")
+    assert load_matrix(path) == BitMatrix([[0, 1, 1], [1, 0, 1]])
+
+
 def test_graph_monte_carlo(tmp_path, capsys):
     assert main(["construct", "xlrc", "1", "2", "1", "--out", str(tmp_path / "h.txt")]) == 0
     capsys.readouterr()
@@ -328,6 +356,8 @@ def test_module_entry_point(tmp_path):
         (DimensionTooLarge("too large"), 2),
         (LrckitError("other library error"), 2),
         (FileNotFoundError("no such file"), 2),
+        (IsADirectoryError("is a directory"), 2),
+        (PermissionError("permission denied"), 2),
     ],
     ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v),
 )

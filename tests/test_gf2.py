@@ -14,7 +14,6 @@ from lrckit import (
     rank,
     recovery_parity_word,
     rref,
-    solve,
 )
 from lrckit.gf2 import iter_codeword_blocks
 from known_matrices import WZL_42_INCIDENCE
@@ -22,7 +21,6 @@ from oracles import (
     min_distance,
     parity_word_by_row_loop,
     rref_by_column_loop,
-    solve_by_pivot_limit,
 )
 
 
@@ -244,21 +242,6 @@ def test_enumeration_cap_enforced():
         min_distance(wide)
 
 
-def test_solve_consistent_system():
-    m = BitMatrix(WZL_42_INCIDENCE)
-    rng = np.random.default_rng(5)
-    x = rng.integers(0, 2, size=6, dtype=np.uint8)
-    b = (m.array @ x) & 1
-    got = solve(m, b)
-    assert got is not None
-    assert not (((m.array @ got) & 1) ^ b).any()
-
-
-def test_solve_inconsistent_system():
-    m = BitMatrix([[1, 1], [1, 1]])
-    assert solve(m, np.array([1, 0], dtype=np.uint8)) is None
-
-
 def test_recovery_parity_word_from_row():
     m = BitMatrix(WZL_42_INCIDENCE)
     # row 0 has support {0,1,2}: column 0 is recoverable from {1,2}
@@ -395,25 +378,3 @@ def test_recovery_parity_word_matches_oracle_on_families(spec):
                 got = recovery_parity_word(h, i, helpers)
                 paths[_same_word(got, parity_word_by_row_loop(h, i, helpers), words)] += 1
         assert expected <= set(paths)
-
-
-def test_solve_matches_pivot_limited_oracle():
-    rng = np.random.default_rng(11)
-    seen = Counter()
-    for _ in range(300):
-        rows, inner, cols = rng.integers(1, 12, size=3)
-        # A product of random factors, so many systems are rank-deficient.
-        a = (rng.integers(0, 2, (rows, inner)) @ rng.integers(0, 2, (inner, cols))) % 2
-        if rng.integers(2):
-            b = (a @ rng.integers(0, 2, cols)) % 2
-        else:
-            b = rng.integers(0, 2, rows)
-        got = solve(a, b)
-        want = solve_by_pivot_limit(a, b)
-        if want is None:
-            assert got is None
-        else:
-            assert got is not None and np.array_equal(got, want)
-            assert np.array_equal((a @ got) % 2, b)
-        seen[want is None] += 1
-    assert seen[True] and seen[False]

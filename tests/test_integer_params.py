@@ -8,6 +8,7 @@ import pytest
 from lrckit import (
     BitMatrix,
     InvalidParams,
+    RecoveringFamily,
     build_wzl,
     build_xlrc,
     candidate_sets,
@@ -69,6 +70,9 @@ CALLS = {
     "row": lambda v: CODE.H.row(v).tolist(),
     "row_support": lambda v: CODE.H.row_support(v),
     "column_support": lambda v: CODE.H.column_support(v),
+    "RecoveringFamily": lambda v: RecoveringFamily(
+        n=v, sets_by_coordinate=((frozenset({2}),), (frozenset({1}),))
+    ),
 }
 
 

@@ -37,12 +37,27 @@ def _bench_workloads():
     return workloads
 
 
+def _words(a, jobs):
+    """The kernel's words as one dense (jobs, n) row each, the target put
+    back where a word was found, after checking that each job's helper
+    columns are ascending, miss the target and are empty without a word."""
+    columns, bounds, found = gf2._parity_words(a, jobs)
+    assert bounds.shape == (len(jobs) + 1,) and bounds[0] == 0
+    assert bounds[-1] == columns.size and found.shape == (len(jobs),)
+    words = np.zeros((len(jobs), a.shape[1]), dtype=np.uint8)
+    for k, (target, _) in enumerate(jobs):
+        ids = columns[bounds[k] : bounds[k + 1]]
+        assert (np.diff(ids) > 0).all() and target not in ids
+        assert found[k] or not ids.size
+        words[k, ids] = 1
+        words[k, target] = found[k]
+    return words, found
+
+
 def _check(a, jobs):
     """Assert the kernel gives the oracle's word for every job; count the
     paths the oracle's answers take."""
-    words, found = gf2._parity_words(a, jobs)
-    assert words.shape == (len(jobs), a.shape[1]) and words.dtype == np.uint8
-    assert found.shape == (len(jobs),)
+    words, found = _words(a, jobs)
     h = BitMatrix(a)
     rows = {row.tobytes() for row in a}
     paths = Counter()
@@ -117,7 +132,7 @@ def test_kernel_zero_target_column_has_no_word():
     a[:, 6] = 0
     everything = [j for j in range(25) if j != 6]
     jobs = [(6, everything), (6, []), (6, everything[:5])]
-    words, found = gf2._parity_words(a, jobs)
+    words, found = _words(a, jobs)
     assert not found.any() and not words.any()
     _check(a, jobs)
 
@@ -132,7 +147,7 @@ def test_kernel_empty_helpers():
         dtype=np.uint8,
     )
     jobs = [(c, []) for c in range(5)]
-    words, found = gf2._parity_words(a, jobs)
+    words, found = _words(a, jobs)
     assert found.tolist() == [True, False, False, False, False]
     assert words[0].tolist() == [1, 0, 0, 0, 0]
     assert _check(a, jobs) == {"combination": 1, "none": 4}
@@ -158,7 +173,7 @@ def test_kernel_job_counts_around_the_chunk_size(count):
 
 
 def test_kernel_without_rows():
-    words, found = gf2._parity_words(np.zeros((0, 4), dtype=np.uint8), [(1, [0, 2])])
+    words, found = _words(np.zeros((0, 4), dtype=np.uint8), [(1, [0, 2])])
     assert words.shape == (1, 4) and not words.any() and not found.any()
 
 
@@ -170,17 +185,31 @@ def test_table_with_coordinates_without_sets():
     table = verifier._realizing_helpers(
         h, RecoveringFamily(n=h.cols, sets_by_coordinate=tuple(sets))
     )
-    assert table.helpers[0] == table.helpers[4] == ()
+    assert _table_helpers(table)[0] == _table_helpers(table)[4] == ()
     assert table.loads[0] == table.loads[4] == {}
     assert len(table.cuts[0]) == len(table.cuts[4]) == 1
-    assert table.first_bad is None
+    assert table.unrealized == ()
     family = RecoveringFamily(n=h.cols, sets_by_coordinate=tuple(sets))
     trace = simulate_repair(h, family, np.zeros(h.cols, dtype=np.uint8), 5)
     assert (trace.recoveries, trace.recovered_values, trace.helper_load) == ((), (), {})
     bare = verifier._realizing_helpers(
         h, RecoveringFamily(n=h.cols, sets_by_coordinate=((),) * h.cols)
     )
-    assert bare.helpers == ((),) * h.cols and bare.first_bad is None
+    assert _table_helpers(bare) == ((),) * h.cols and bare.unrealized == ()
+    assert bare.columns.size == 0
+
+
+def _table_helpers(table):
+    """The table's 1-based helper ids per coordinate and set, None for a set
+    the table lists as unrealized."""
+    unrealized = set(table.unrealized)
+    return tuple(
+        tuple(
+            None if (i, j) in unrealized else tuple((table.columns[a:b] + 1).tolist())
+            for j, (a, b) in enumerate(zip(cuts, cuts[1:]), start=1)
+        )
+        for i, cuts in enumerate(table.cuts, start=1)
+    )
 
 
 def _oracle_helpers(h, family):
@@ -201,6 +230,7 @@ def _oracle_helpers(h, family):
 @pytest.mark.parametrize("seed", [0, 271828])
 def test_table_matches_oracle_on_study_codes(seed):
     workloads = _bench_workloads()
+    unrealized = 0
     for index, spec in enumerate(workloads.STUDY_CODES):
         code = build_xlrc(*spec[:3], convention=spec[3])
         p = code.params
@@ -209,7 +239,19 @@ def test_table_matches_oracle_on_study_codes(seed):
         )
         h = BitMatrix(matrix)
         family = discover_family(h, p.r, p.t, p.x)
-        assert verifier._realizing_helpers(h, family).helpers == _oracle_helpers(h, family)
+        # Every set of coordinate 1 cut to its smallest member, which most
+        # often admits no parity word.
+        sets = family.sets_by_coordinate
+        cut = RecoveringFamily(
+            n=p.n,
+            sets_by_coordinate=(tuple(frozenset({min(s)}) for s in sets[0]),) + sets[1:],
+        )
+        for fam in (family, cut):
+            table = verifier._realizing_helpers(h, fam)
+            assert _table_helpers(table) == _oracle_helpers(h, fam)
+            assert list(table.unrealized) == sorted(table.unrealized)
+            unrealized += len(table.unrealized)
+    assert unrealized
 
 
 def test_table_build_memory_is_bounded():
@@ -228,3 +270,23 @@ def test_table_build_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 2**20
+
+
+def test_kernel_memory_stays_below_one_dense_word_array():
+    # Canonical xlrc(7,4,3): n = 1,320 and 5,280 jobs, so one (jobs, n)
+    # uint8 array of words would take 6,806 KiB. The kernel forms the words
+    # one chunk at a time and returns only their helper columns.
+    code = build_xlrc(7, 4, 3)
+    jobs = [
+        (i, [e - 1 for e in s])
+        for i, sets in enumerate(canonical_family(code).sets_by_coordinate)
+        for s in sets
+    ]
+    a = code.H.array
+    tracemalloc.start()
+    try:
+        gf2._parity_words(a, jobs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < len(jobs) * a.shape[1]

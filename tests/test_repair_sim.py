@@ -15,7 +15,6 @@ from lrckit import (
     rank,
     recovery_parity_word,
     simulate_repair,
-    solve,
     systematic_encode,
     verify_family,
 )
@@ -165,11 +164,6 @@ _BIT_INPUTS = {
     ),
     "rank": (
         lambda v: rank(_filled(v, 2)[None, :]),
-        InvalidParams,
-        "matrix entries must be 0 or 1",
-    ),
-    "solve-rhs": (
-        lambda v: solve(np.array([[1, 0]], dtype=np.uint8), _filled(v, 1)),
         InvalidParams,
         "matrix entries must be 0 or 1",
     ),
@@ -363,7 +357,7 @@ def test_repair_errors_match_parity_word_oracle():
 
 
 def _counting(monkeypatch):
-    """Count calls of the batched parity-word kernel, solve and _rref."""
+    """Count calls of the batched parity-word kernel and _rref."""
     calls = Counter()
 
     def counted(name, fn):
@@ -375,14 +369,13 @@ def _counting(monkeypatch):
 
     kernel = counted("kernel", verifier._parity_words)
     monkeypatch.setattr(verifier, "_parity_words", kernel)
-    monkeypatch.setattr(gf2, "solve", counted("solve", gf2.solve))
     monkeypatch.setattr(gf2, "_rref", counted("rref", gf2._rref))
     return calls
 
 
 def test_repair_builds_its_table_once(monkeypatch):
     # The table is built by one call of the batched parity-word kernel, with
-    # no per-set solve. The basis is eliminated once for all encodes, and no
+    # no per-set elimination. The basis is eliminated once for all encodes, and no
     # repair after the table build solves or eliminates anything.
     code = build_xlrc(2, 3, 1)
     h, family = _presented(code, seed=43)
