@@ -10,8 +10,6 @@ from .bounds import (
     RateComparisonRow,
     bound_report,
     decimal4,
-    distance_bound_tbf,
-    distance_bound_wr,
     f_value,
     n_lower,
     n_upper,
@@ -91,8 +89,6 @@ __all__ = [
     "complement_columns",
     "decimal4",
     "discover_family",
-    "distance_bound_tbf",
-    "distance_bound_wr",
     "exhaustive_expected_fraction",
     "f_value",
     "map_params",

@@ -1,4 +1,4 @@
-"""Exact rate and distance bounds for codes with overlapping recovering sets.
+"""Exact rate bounds for codes with overlapping recovering sets.
 
 All rate arithmetic is done in ``fractions.Fraction``; floats never enter a
 bound value. Decimal renderings round half to even at four places.
@@ -23,8 +23,6 @@ __all__ = [
     "f_value",
     "rate_upper",
     "rate_product",
-    "distance_bound_wr",
-    "distance_bound_tbf",
     "bound_report",
     "table1",
     "table2",
@@ -92,28 +90,6 @@ def rate_product(r: int, t: int) -> Fraction:
     for i in range(1, t + 1):
         value *= Fraction(i * r, i * r + 1)
     return value
-
-
-def distance_bound_wr(n: int, k: int, r: int, t: int) -> int:
-    """Availability-aware Singleton-type distance bound:
-    d <= n - k + 2 - ceil((t(k-1) + 1) / (t(r-1) + 1))."""
-    _check_nkrt(n, k, r, t)
-    num = t * (k - 1) + 1
-    den = t * (r - 1) + 1
-    return n - k + 2 - (-(-num // den))
-
-
-def distance_bound_tbf(n: int, k: int, r: int, t: int) -> int:
-    """Layered-repair distance bound: d <= n - sum_{i=0}^{t} floor((k-1)/r^i)."""
-    _check_nkrt(n, k, r, t)
-    return n - sum((k - 1) // r**i for i in range(t + 1))
-
-
-def _check_nkrt(n: int, k: int, r: int, t: int) -> None:
-    if _integer(n, "n") < 1 or not 1 <= _integer(k, "k") <= n:
-        raise InvalidParams("need 1 <= k <= n")
-    if _integer(r, "r") < 1 or _integer(t, "t") < 1:
-        raise InvalidParams("locality and availability must be positive")
 
 
 @dataclass(frozen=True)

@@ -30,9 +30,10 @@ ENUMERATION_CAP = 25
 
 _BLOCK_BITS = 16
 
-# Jobs per chunk of the parity-word kernel; a chunk's elimination holds two
-# uint64 arrays of jobs x cols x ceil((rows + 1) / 64) limbs, and its words
-# one uint8 array of jobs x cols.
+# Jobs per chunk of the parity-word kernel; a chunk's elimination holds one
+# uint64 array of jobs x cols x ceil((unknowns + 1) / 64) limbs, with at most
+# |helpers| + 1 unknowns per job, and one uint64 scratch limb of jobs x cols;
+# its words take one uint8 array of jobs x cols.
 _BLOCK_JOBS = 2**6
 
 
@@ -267,14 +268,17 @@ def recovery_parity_word(
     ``target`` and ``helpers`` are 0-based column indices. Such a word
     certifies that coordinate ``target`` of every codeword is the XOR of the
     coordinates in w's support minus target. This is a one-job call of the
-    parity-word kernel, rebuilt from its helper columns plus the target: the
-    first row of H that qualifies is returned as is; failing that, w is the
-    row combination the kernel's elimination finds. None is returned only
-    when that linear system is inconsistent, so no such word exists.
+    parity-word kernel, rebuilt from its helper columns plus the target. When
+    several words fit, w is the sum of the rows of rref(H) that the kernel's
+    elimination picks among those with their pivot in helpers + {target}, so
+    it depends on the code (its row space and column order), not on the rows
+    of H. None is returned only when that linear system is inconsistent, so
+    no such word exists.
     """
     a = _as_array(matrix)
     n = a.shape[1]
-    if not 0 <= _integer(target, "target") < n:
+    target = _integer(target, "target")
+    if not 0 <= target < n:
         raise InvalidParams("target column out of range")
     # Read once: a one-shot iterable would be empty after the range check.
     helpers = [_integer(j, "helper") for j in helpers]
@@ -310,66 +314,62 @@ def _parity_words(
     ``columns[bounds[k] : bounds[k + 1]]`` holds the ascending columns of
     job k's word other than its target, empty where ``found[k]`` is False.
 
-    A job whose helpers + {target} hold some row of H with a 1 at the target
-    takes the first such row, by one test over a chunk of jobs. The other
-    jobs solve for the row mix u, one batched elimination per chunk of
-    _BLOCK_JOBS jobs: the unknowns are the rows of H, the equations are the
-    columns outside helpers + {target} (right-hand side 0) and the target
-    column (right-hand side 1), each packed as rows + 1 bits. Unknowns are
+    H is reduced once. A row-space word is the sum of the reduced rows at the
+    pivot columns where it has a 1, so a job's unknowns are the reduced rows
+    whose pivot lies in helpers + {target}, in pivot order, padded with a
+    zero row to the widest job of its chunk. One batched elimination per
+    chunk of _BLOCK_JOBS jobs solves for them: the equations are the columns
+    outside helpers + {target} (right-hand side 0) and the target column
+    (right-hand side 1), each packed as unknowns + 1 bits. Unknowns are
     eliminated left to right on the first unused equation that holds them
-    and free unknowns are 0, so u is the solution the oracle
+    and free unknowns are 0, so the solution is the one the oracle
     ``tests/oracles.py::solve_by_pivot_limit`` gives (a reduced echelon form
     is unique). An unused equation left holding its right-hand side means
-    the system is inconsistent. The words are u H, formed one chunk of
-    _BLOCK_JOBS jobs at a time, so no (jobs, n) array is ever held.
+    the system is inconsistent. The word is the sum of the solved rows, so it
+    depends on the row space of H and its column order, not on its rows.
     """
-    rows, n = a.shape
-    mix = np.zeros((len(jobs), rows), dtype=np.uint8)
+    n = a.shape[1]
+    reduced, pivots = _rref(a.copy())
+    rank = len(pivots)
+    basis = np.zeros((rank + 1, n), dtype=np.uint8)
+    basis[:rank] = reduced[:rank]
+    bit = np.uint64(1) << np.arange(64, dtype=np.uint64)
+    # A word's helper columns lie among its job's helpers, so one array of
+    # all the helpers' length holds every word, and no column is copied.
+    columns = np.empty(sum(len(helpers) for _, helpers in jobs), dtype=np.intp)
+    filled = 0
+    bounds = np.zeros(len(jobs) + 1, dtype=np.intp)
     found = np.zeros(len(jobs), dtype=bool)
-    if not rows:
-        return np.empty(0, dtype=np.intp), np.zeros(len(jobs) + 1, dtype=np.intp), found
-    packed_rows = _pack_rows(a)
-    misses = []
     for start in range(0, len(jobs), _BLOCK_JOBS):
         chunk = jobs[start : start + _BLOCK_JOBS]
         targets = [target for target, _ in chunk]
-        outside = _pack_rows(~_allowed(n, chunk))
-        fits = (a[:, targets].T == 1) & ~(outside[:, None, :] & packed_rows).any(axis=2)
-        hit = fits.any(axis=1)
-        ks = np.arange(start, start + len(chunk))
-        mix[ks[hit], fits[hit].argmax(axis=1)] = 1
-        found[ks[hit]] = True
-        misses += ks[~hit].tolist()
-    # Column c of H over the rows, with room for the right-hand side as bit
-    # ``rows``; bit j of an equation is bit j % 64 of its limb j // 64.
-    aug = np.zeros((n, rows + 1), dtype=np.uint8)
-    aug[:, :rows] = a.T
-    columns = _pack_rows(aug)
-    bit = np.uint64(1) << np.arange(64, dtype=np.uint64)
-    rhs_limb, rhs_bit = divmod(rows, 64)
-    # One buffer of each kind serves every chunk.
-    block = min(_BLOCK_JOBS, len(misses))
-    equations = np.empty((2, block, n, columns.shape[1]), dtype=np.uint64)
-    marks = np.empty((3, block, n), dtype=bool)
-    for start in range(0, len(misses), _BLOCK_JOBS):
-        ks = misses[start : start + _BLOCK_JOBS]
-        chunk = [jobs[k] for k in ks]
-        targets = [target for target, _ in chunk]
-        each = np.arange(len(ks))
-        eqs, flips = equations[:, : len(ks)]
-        eqs[:] = columns
-        eqs[_allowed(n, chunk)] = 0
-        eqs[each, targets] = columns[targets]
-        eqs[each, targets, rhs_limb] |= bit[rhs_bit]
-        holds, candidates, used = marks[:, : len(ks)]
-        used[:] = False
+        each = np.arange(len(chunk))
+        inside = _allowed(n, chunk)
+        # Row ``rank`` of the basis is the zero row that pads the unknowns.
+        unknowns = np.where(inside[:, list(pivots)], np.arange(rank), rank)
+        unknowns.sort(axis=1)
+        width = int(np.count_nonzero(unknowns < rank, axis=1).max())
+        unknowns = unknowns[:, :width]
+        # Bit j of an equation is bit j % 64 of its limb j // 64; the
+        # right-hand side is bit ``width``.
+        eqs = np.zeros((len(chunk), n, width // 64 + 1), dtype=np.uint64)
+        # Scratch for one limb of every equation; rewritten before it is read.
+        limb = np.empty((len(chunk), n), dtype=np.uint64)
+        for j in range(width):
+            np.multiply(basis[unknowns[:, j]], bit[j & 63], out=limb)
+            eqs[:, :, j >> 6] |= limb
+        inside[each, targets] = False
+        eqs[inside] = 0
+        eqs[each, targets, width >> 6] |= bit[width & 63]
+        holds = np.empty((len(chunk), n), dtype=bool)
+        candidates = np.empty_like(holds)
+        used = np.zeros_like(holds)
         # The equation holding each unknown's pivot; 0 for a free unknown.
-        pivots = np.zeros((len(ks), rows), dtype=np.intp)
-        pivoted = np.zeros((len(ks), rows), dtype=bool)
-        for j in range(rows):
-            # flips is scratch here: it is rewritten before it is read.
-            np.bitwise_and(eqs[:, :, j >> 6], bit[j & 63], out=flips[:, :, 0])
-            np.not_equal(flips[:, :, 0], 0, out=holds)
+        pivot_of = np.zeros((len(chunk), width), dtype=np.intp)
+        pivoted = np.zeros((len(chunk), width), dtype=bool)
+        for j in range(width):
+            np.bitwise_and(eqs[:, :, j >> 6], bit[j & 63], out=limb)
+            np.not_equal(limb, 0, out=holds)
             # holds and not used: the equations that may take the pivot.
             np.greater(holds, used, out=candidates)
             p = candidates.argmax(axis=1)
@@ -379,26 +379,24 @@ def _parity_words(
             holds[each, p] = False
             holds &= took[:, None]
             # Add the pivot equation to every other equation holding j.
-            np.multiply(eqs[each, p][:, None, :], holds[:, :, None], out=flips)
-            eqs ^= flips
+            k, e = np.nonzero(holds)
+            eqs[k, e] ^= eqs[k, p[k]]
             used[each, p] |= took
-            pivots[:, j] = p
+            pivot_of[:, j] = p
             pivoted[:, j] = took
-        np.bitwise_and(eqs[:, :, rhs_limb], bit[rhs_bit], out=flips[:, :, 0])
-        rhs = flips[:, :, 0] != 0
+        np.bitwise_and(eqs[:, :, width >> 6], bit[width & 63], out=limb)
+        rhs = limb != 0
         solvable = ~(rhs & ~used).any(axis=1)
-        u = np.take_along_axis(rhs, pivots, axis=1) & pivoted
-        mix[ks] = u & solvable[:, None]
-        found[ks] = solvable
-    parts = [np.empty(0, dtype=np.intp)]
-    bounds = np.zeros(len(jobs) + 1, dtype=np.intp)
-    for start in range(0, len(jobs), _BLOCK_JOBS):
-        chunk = jobs[start : start + _BLOCK_JOBS]
-        # uint8 sums wrap modulo 256, an even number, so their parity is exact.
-        words = mix[start : start + len(chunk)] @ a
-        words &= 1
+        solution = np.take_along_axis(rhs, pivot_of, axis=1) & pivoted
+        solution &= solvable[:, None]
+        words = np.zeros((len(chunk), n), dtype=np.uint8)
+        for j in range(width):
+            words ^= basis[unknowns[:, j]] * solution[:, j, None]
         # The target is no helper; a job without a word has a zero row.
-        words[np.arange(len(chunk)), [target for target, _ in chunk]] = 0
-        parts.append(np.flatnonzero(words) % n)
+        words[each, targets] = 0
+        ids = np.flatnonzero(words) % n
+        columns[filled : filled + ids.size] = ids
+        filled += ids.size
         bounds[start + 1 : start + len(chunk) + 1] = np.count_nonzero(words, axis=1)
-    return np.concatenate(parts), np.cumsum(bounds), found
+        found[start : start + len(chunk)] = solvable
+    return columns[:filled], np.cumsum(bounds), found

@@ -10,7 +10,9 @@ realizing-word table holds each set's helpers as one flat column array with
 offsets, each coordinate's helper loads, the shared (helper, bit) pairs and
 the sets that admit no parity word. Repair or ``verify_family``, whichever
 comes first, builds it with one call of the batched parity-word kernel
-``gf2._parity_words``, which returns the helper columns in that flat layout.
+``gf2._parity_words``. The kernel reduces H once, solves each set over the
+reduced rows with their pivot in the set plus its coordinate, and returns
+the helper columns in that flat layout.
 So an encode is one product with the basis, and a repair costs its input
 checks, one packed parity test and one gather of the helper bits: no parity
 word is found and nothing is eliminated.

@@ -61,25 +61,39 @@ class RecoveringFamily:
     """Recovering sets per coordinate, 1-based.
 
     ``sets_by_coordinate[i - 1]`` lists the sets for coordinate i, in a fixed
-    order. Sets never contain their own coordinate and are nonempty.
+    order. Sets never contain their own coordinate and are nonempty. Any
+    iterable of integer members is stored as a frozenset of ints, and the
+    sets of each coordinate as a tuple.
     """
 
     n: int
     sets_by_coordinate: tuple[tuple[frozenset[int], ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", _integer(self.n, "n"))
-        if self.n < 1 or len(self.sets_by_coordinate) != self.n:
+        n = _integer(self.n, "n")
+        object.__setattr__(self, "n", n)
+        if n < 1 or len(self.sets_by_coordinate) != n:
             raise InvalidParams("family must list sets for each of the n coordinates")
+        normalized = []
         for i, sets in enumerate(self.sets_by_coordinate, start=1):
             label = f"coordinate {i}: set member"
+            # A frozenset of ints is kept as it is: rebuilding it would only
+            # copy it.
+            sets = tuple(
+                s
+                if type(s) is frozenset and all(type(e) is int for e in s)
+                else frozenset(_integer(e, label) for e in s)
+                for s in sets
+            )
             for s in sets:
                 if not s:
                     raise InvalidParams(f"coordinate {i}: empty recovering set")
                 if i in s:
                     raise InvalidParams(f"coordinate {i}: set contains its own coordinate")
-                if any(not 1 <= _integer(e, label) <= self.n for e in s):
+                if any(not 1 <= e <= n for e in s):
                     raise InvalidParams(f"{label} out of range")
+            normalized.append(sets)
+        object.__setattr__(self, "sets_by_coordinate", tuple(normalized))
         # The fields are immutable, so the hash is computed once; repair
         # looks the family up by it on every call.
         object.__setattr__(self, "_hash", hash((self.n, self.sets_by_coordinate)))
@@ -228,9 +242,10 @@ class _Realized(NamedTuple):
     ``columns`` holds, 0-based and ascending, the columns other than the
     coordinate of the parity word ``recovery_parity_word`` would return for
     each recovering set, set after set and coordinate after coordinate; a
-    set that admits no parity word holds none. ``cuts[i]`` lists where each
-    set of coordinate i + 1 starts in ``columns``, then where its last set
-    ends. ``loads[i]`` maps each helper of coordinate i + 1, ascending, to
+    set that admits no parity word holds none. Which word a set
+    with several gets depends on the code, not on the rows of H. ``cuts[i]``
+    lists where each set of coordinate i + 1 starts in ``columns``, then
+    where its last set ends. ``loads[i]`` maps each helper of coordinate i + 1, ascending, to
     how many of its sets read it; a repair trace gets a copy.
     ``pairs[2 * c + b]`` is the (helper, bit) pair ``(c + 1, b)``, an object
     array whose tuples every repair trace shares. ``unrealized`` lists the
@@ -248,7 +263,7 @@ class _Realized(NamedTuple):
 def _realizing_helpers(h: BitMatrix, family: RecoveringFamily) -> _Realized:
     """The realizing-word table of ``family`` over H, which verification and
     repair share: the parity word of every recovering set, all found by one
-    call of the batched kernel gf2._parity_words."""
+    call of the batched kernel gf2._parity_words, which reduces H once."""
     # The job list is only an argument, so it is freed before the loads are.
     columns, bounds, found = _parity_words(
         h.array,

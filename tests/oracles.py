@@ -6,14 +6,18 @@ exceptions, each resting on a path that is itself checked against an oracle
 here. min_distance streams codewords through the package's
 iter_codeword_blocks, checked against codewords_by_brute_force. The repair
 oracles take their parity words from recovery_parity_word, checked against
-parity_word_by_row_loop. The coloring oracles run the package's coloring
-kernel over every ranking, checked against colors_by_rule, and its
-per-subset structural_check over every subset.
+parity_word_by_reduced_rows, which follows the package's rule for which
+word a set gets. parity_word_by_row_loop, the rule before it (the first
+fitting row of H, else a solve over all rows of H), still checks whether a
+word exists and, where a set has only one, which. The coloring oracles run
+the package's coloring kernel over every ranking, checked against
+colors_by_rule, and its per-subset structural_check over every subset.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, islice, permutations, product
 from math import factorial, inf, sqrt
 
@@ -182,6 +186,47 @@ def parity_word_by_row_loop(matrix: BitMatrix, target: int, helpers) -> np.ndarr
     if u is None:
         return None
     return (u.astype(np.int64) @ a % 2).astype(np.uint8)
+
+
+@lru_cache(maxsize=8)
+def _reduced(matrix: BitMatrix) -> tuple[np.ndarray, tuple[int, ...]]:
+    """rref_by_column_loop of H, once per matrix, read-only."""
+    reduced, pivots = rref_by_column_loop(matrix.array)
+    reduced.setflags(write=False)
+    return reduced, pivots
+
+
+def parity_word_by_reduced_rows(matrix: BitMatrix, target: int, helpers) -> np.ndarray | None:
+    """recovery_parity_word's rule read literally: reduce H by
+    rref_by_column_loop, keep the reduced rows whose pivot lies in helpers +
+    {target}, and combine them by the solution solve_by_pivot_limit finds
+    for a 0 at every column outside helpers + {target} and a 1 at the
+    target. 0-based columns."""
+    reduced, pivots = _reduced(matrix)
+    allowed = np.zeros(matrix.cols, dtype=bool)
+    allowed[list(helpers)] = True
+    allowed[target] = True
+    rows = reduced[[k for k, c in enumerate(pivots) if allowed[c]]]
+    outside = np.flatnonzero(~allowed)
+    system = np.vstack([rows[:, outside].T, rows[:, target][None, :]])
+    rhs = np.zeros(outside.size + 1, dtype=np.uint8)
+    rhs[-1] = 1
+    u = solve_by_pivot_limit(system, rhs)
+    if u is None:
+        return None
+    return (u.astype(np.int64) @ rows % 2).astype(np.uint8)
+
+
+def words_inside(matrix: BitMatrix, columns) -> int:
+    """How many row-space words of H have their support inside ``columns``
+    (0-based), the zero word included: 2 ** (rank(H) - rank of the other
+    columns). A set with a parity word has exactly this many for its
+    helpers: any one of them plus each such word."""
+    outside = np.ones(matrix.cols, dtype=bool)
+    outside[list(columns)] = False
+    # The transpose has the same rank and only rows(H) columns to visit.
+    rest = len(rref_by_column_loop(matrix.array[:, outside].T)[1])
+    return 2 ** (len(_reduced(matrix)[1]) - rest)
 
 
 def codewords_by_brute_force(matrix: BitMatrix) -> np.ndarray:

@@ -6,8 +6,6 @@ from lrckit import (
     InvalidParams,
     bound_report,
     decimal4,
-    distance_bound_tbf,
-    distance_bound_wr,
     f_value,
     n_lower,
     n_upper,
@@ -117,28 +115,6 @@ def test_product_anchors():
     assert rate_product(4, 3) == Fraction(384, 585)
     for r in range(1, 9):
         assert rate_product(r, 1) == Fraction(r, r + 1)
-
-
-def test_distance_bound_anchors():
-    assert distance_bound_wr(6, 3, 2, 2) == 3
-    assert distance_bound_tbf(6, 3, 2, 2) == 3
-    assert distance_bound_wr(12, 9, 5, 2) == 3
-    assert distance_bound_tbf(12, 9, 5, 2) == 3
-
-
-def test_distance_bound_wr_single_availability():
-    # t=1 collapses to the classical locality bound shape
-    for n in range(4, 13):
-        for r in range(1, 5):
-            for k in range(1, n):
-                expect = n - k + 2 - (k + r - 1) // r
-                assert distance_bound_wr(n, k, r, 1) == expect
-
-
-def test_distance_bound_tbf_trivial_dimension():
-    for n in range(2, 9):
-        assert distance_bound_tbf(n, 1, 3, 2) == n
-        assert distance_bound_tbf(n, 1, 1, 4) == n
 
 
 def test_decimal4_rounding():

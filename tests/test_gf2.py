@@ -19,8 +19,10 @@ from lrckit.gf2 import iter_codeword_blocks
 from known_matrices import WZL_42_INCIDENCE
 from oracles import (
     min_distance,
+    parity_word_by_reduced_rows,
     parity_word_by_row_loop,
     rref_by_column_loop,
+    words_inside,
 )
 
 
@@ -293,6 +295,16 @@ def test_recovery_parity_word_reads_helpers_once(kind, h, target, helpers):
     assert recovery_parity_word(h, target, kind(helpers)).tolist() == expected.tolist()
 
 
+def test_recovery_parity_word_target_is_read_as_an_int():
+    # A bool target indexes like its int, not like a mask over the columns.
+    code = build_xlrc(2, 2, 1)
+    helpers = [e - 1 for e in canonical_family(code).sets_by_coordinate[1][0]]
+    want = recovery_parity_word(code.H, 1, helpers)
+    assert want is not None
+    for target in (True, np.int64(1)):
+        assert recovery_parity_word(code.H, target, helpers).tolist() == want.tolist()
+
+
 def test_recovery_parity_word_rejects_helpers_out_of_range():
     m = BitMatrix(WZL_42_INCIDENCE)
     # -1 would otherwise wrap to the last column; 6 is one past the end.
@@ -313,21 +325,27 @@ def _mixed_matrix(n, seed, rows=12, weight=4):
     return BitMatrix(((mixing @ base) % 2)[:, rng.permutation(n)])
 
 
-def _same_word(got, want, rows):
-    """Assert recovery_parity_word matches the oracle; name the path taken."""
+def _same_word(got, h, target, helpers):
+    """Assert recovery_parity_word gives the reduced-row oracle's word, and
+    agrees with the row-loop oracle on whether a word exists and, where the
+    set has only one, on the word. Name the case: no word, one or several."""
+    want = parity_word_by_reduced_rows(h, target, helpers)
+    old = parity_word_by_row_loop(h, target, helpers)
     if want is None:
-        assert got is None
+        assert got is None and old is None
         return "none"
     assert got is not None and got.dtype == np.uint8
-    assert np.array_equal(got, want)
-    return "row" if got.tobytes() in rows else "combination"
+    assert np.array_equal(got, want) and old is not None
+    if words_inside(h, set(helpers) - {target}) > 1:
+        return "several"
+    assert np.array_equal(got, old)
+    return "one"
 
 
 @pytest.mark.parametrize("n", [63, 64, 65, 224])
 def test_recovery_parity_word_matches_row_loop_oracle(n):
     h = _mixed_matrix(n, seed=8)
     a = h.array
-    rows = {row.tobytes() for row in a}
     rng = np.random.default_rng((9, n))
     paths = Counter()
     for _ in range(200):
@@ -342,8 +360,8 @@ def test_recovery_parity_word_matches_row_loop_oracle(n):
         elif rng.integers(2):
             helpers += [int(j) for j in rng.choice(n, size=2) if j != target]
         got = recovery_parity_word(h, target, helpers)
-        paths[_same_word(got, parity_word_by_row_loop(h, target, helpers), rows)] += 1
-    assert set(paths) == {"none", "row", "combination"}
+        paths[_same_word(got, h, target, helpers)] += 1
+    assert set(paths) == {"none", "one", "several"}
 
 
 def _cut(sets_by_coordinate, rng):
@@ -367,14 +385,13 @@ def test_recovery_parity_word_matches_oracle_on_families(spec):
     # A seeded row mixing keeps the code but hides most sets from single rows.
     mixing = np.tril(rng.integers(0, 2, (rows, rows)), -1) + np.eye(rows, dtype=int)
     h = BitMatrix((mixing @ code.H.array) % 2)
-    words = {row.tobytes() for row in h.array}
     canonical = canonical_family(code).sets_by_coordinate
     cut = _cut(canonical, rng)
-    for sets_by_coordinate, expected in ((canonical, {"row", "combination"}), (cut, {"none"})):
+    for sets_by_coordinate, expected in ((canonical, {"one"}), (cut, {"none"})):
         paths = Counter()
         for i, sets in enumerate(sets_by_coordinate):
             for s in sets:
                 helpers = [e - 1 for e in s]
                 got = recovery_parity_word(h, i, helpers)
-                paths[_same_word(got, parity_word_by_row_loop(h, i, helpers), words)] += 1
+                paths[_same_word(got, h, i, helpers)] += 1
         assert expected <= set(paths)

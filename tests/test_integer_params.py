@@ -15,8 +15,6 @@ from lrckit import (
     canonical_family,
     check_recursion,
     discover_family,
-    distance_bound_tbf,
-    distance_bound_wr,
     f_value,
     map_params,
     n_lower,
@@ -39,8 +37,6 @@ CALLS = {
     "f_value": lambda v: f_value(v, 2, 1),
     "f_value_t": lambda v: f_value(2, v, 1),
     "rate_product": lambda v: rate_product(v, 2),
-    "distance_bound_wr": lambda v: distance_bound_wr(10, v, 2, 2),
-    "distance_bound_tbf": lambda v: distance_bound_tbf(10, 5, v, 2),
     "map_params": lambda v: map_params(2, 2, v),
     "simulate_repair": lambda v: simulate_repair(
         CODE.H, FAMILY, ZERO, erased=v

@@ -1,6 +1,7 @@
-"""The batched parity-word kernel ``gf2._parity_words`` against the row-loop
-oracle, on awkward matrices, at chunk boundaries and on the benchmark's
-study codes, and the memory its table build takes."""
+"""The batched parity-word kernel ``gf2._parity_words`` against the
+reduced-row oracle and the row-loop oracle, on awkward matrices, at chunk
+boundaries, under a change of the rows of H and on the benchmark's study
+codes, and the memory its table build takes."""
 
 import sys
 import tracemalloc
@@ -19,7 +20,7 @@ from lrckit import (
     simulate_repair,
 )
 from lrckit import gf2, verifier
-from oracles import parity_word_by_row_loop
+from oracles import parity_word_by_reduced_rows, parity_word_by_row_loop, words_inside
 
 BLOCK = gf2._BLOCK_JOBS
 BENCH = Path(__file__).resolve().parents[1] / "lrcbench"
@@ -55,21 +56,27 @@ def _words(a, jobs):
 
 
 def _check(a, jobs):
-    """Assert the kernel gives the oracle's word for every job; count the
-    paths the oracle's answers take."""
+    """Assert the kernel gives the reduced-row oracle's word for every job,
+    and agrees with the row-loop oracle on whether a word exists and, where
+    the job has only one, on the word. Count the jobs with no word, one word
+    and several words."""
     words, found = _words(a, jobs)
     h = BitMatrix(a)
-    rows = {row.tobytes() for row in a}
-    paths = Counter()
+    seen = Counter()
     for (target, helpers), word, ok in zip(jobs, words, found):
-        want = parity_word_by_row_loop(h, target, helpers)
+        want = parity_word_by_reduced_rows(h, target, helpers)
+        old = parity_word_by_row_loop(h, target, helpers)
         if want is None:
-            assert not ok and not word.any()
-            paths["none"] += 1
+            assert not ok and not word.any() and old is None
+            seen["none"] += 1
+            continue
+        assert ok and np.array_equal(word, want) and old is not None
+        if words_inside(h, set(helpers) - {target}) > 1:
+            seen["several"] += 1
         else:
-            assert ok and np.array_equal(word, want)
-            paths["row" if want.tobytes() in rows else "combination"] += 1
-    return paths
+            assert np.array_equal(word, old)
+            seen["one"] += 1
+    return seen
 
 
 def _jobs(a, rng, count):
@@ -116,15 +123,23 @@ def test_kernel_matches_oracle_with_duplicate_dependent_and_zero_rows(monkeypatc
         a[4] = 0
         a = a[rng.permutation(12)].astype(np.uint8)
         seen += _check(a, _jobs(a, rng, 40))
-    assert set(seen) == {"none", "row", "combination"}
+    assert set(seen) == {"none", "one", "several"}
 
 
 @pytest.mark.parametrize("rows", [63, 64, 70])
 def test_kernel_matches_oracle_past_one_limb(rows):
-    # rows + 1 bits per equation: one limb at 63 rows, two from 64 on.
+    # A job's unknowns are the reduced rows with their pivot among its
+    # helpers + {target}, and each equation holds unknowns + 1 bits. These
+    # matrices have full rank, so with every other column a helper that is
+    # rows + 1 bits: one limb at 63 rows, two from 64 on.
     a = _mixed(rows, 90, seed=rows)
-    seen = _check(a, _jobs(a, np.random.default_rng(rows), 30))
-    assert seen["combination"]
+    rng = np.random.default_rng(rows)
+    jobs = _jobs(a, rng, 30)
+    for target in range(0, 90, 9):
+        others = [j for j in range(90) if j != target]
+        jobs += [(target, others), (target, sorted(rng.choice(others, 80, replace=False)))]
+    seen = _check(a, jobs)
+    assert seen["several"]
 
 
 def test_kernel_zero_target_column_has_no_word():
@@ -150,13 +165,13 @@ def test_kernel_empty_helpers():
     words, found = _words(a, jobs)
     assert found.tolist() == [True, False, False, False, False]
     assert words[0].tolist() == [1, 0, 0, 0, 0]
-    assert _check(a, jobs) == {"combination": 1, "none": 4}
+    assert _check(a, jobs) == {"one": 1, "none": 4}
 
 
 @pytest.mark.parametrize("count", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
 def test_kernel_job_counts_around_the_chunk_size(count):
-    # No row of H fits any of these jobs, so the elimination chunks hold
-    # exactly ``count`` jobs too.
+    # Jobs that no row of H, as written, fits: no word is one of its rows.
+    # Every chunk holds every job of its range, whatever its word.
     a = _mixed(16, 40, seed=22)
     rng = np.random.default_rng(count)
     jobs = []
@@ -168,13 +183,38 @@ def test_kernel_job_counts_around_the_chunk_size(count):
                 jobs.append((target, helpers))
     jobs = jobs[:count]
     seen = _check(a, jobs)
-    assert sum(seen.values()) == count and not seen["row"]
-    assert count < 2 or seen["combination"]
+    assert sum(seen.values()) == count
+    assert count < 2 or set(seen) == {"none", "one", "several"}
 
 
 def test_kernel_without_rows():
     words, found = _words(np.zeros((0, 4), dtype=np.uint8), [(1, [0, 2])])
     assert words.shape == (1, 4) and not words.any() and not found.any()
+
+
+@pytest.mark.parametrize(
+    "a", [_mixed(16, 40, seed=23), build_xlrc(2, 3, 1).H.array], ids=["mixed", "xlrc231"]
+)
+def test_kernel_words_do_not_depend_on_the_rows_of_h(a):
+    # The same code written four other ways: rows mixed by an invertible
+    # matrix, or a duplicated, a dependent or a zero row added, with the rows
+    # shuffled each time. Only the row space and the column order count.
+    rng = np.random.default_rng(24)
+    rows, n = a.shape
+    jobs = _jobs(a, rng, 2 * BLOCK)
+    assert _check(a, jobs)["several"]
+    want = gf2._parity_words(a, jobs)
+    eye = np.eye(rows, dtype=np.int64)
+    lower = np.tril(rng.integers(0, 2, (rows, rows)), -1) + eye
+    upper = np.triu(rng.integers(0, 2, (rows, rows)), 1) + eye
+    for b in (
+        (lower @ upper @ a) % 2,
+        np.vstack([a, a[[3]]]),
+        np.vstack([a, a[[0]] ^ a[[2]]]),
+        np.vstack([a, np.zeros((1, n), dtype=np.uint8)]),
+    ):
+        got = gf2._parity_words(b[rng.permutation(len(b))].astype(np.uint8), jobs)
+        assert all(np.array_equal(x, y) for x, y in zip(got, want))
 
 
 def test_table_with_coordinates_without_sets():

@@ -374,9 +374,10 @@ def _counting(monkeypatch):
 
 
 def test_repair_builds_its_table_once(monkeypatch):
-    # The table is built by one call of the batched parity-word kernel, with
-    # no per-set elimination. The basis is eliminated once for all encodes, and no
-    # repair after the table build solves or eliminates anything.
+    # The table is built by one call of the batched parity-word kernel,
+    # which reduces H once, with no per-set elimination. The basis is
+    # eliminated once for all encodes, and no repair after the table build
+    # solves or eliminates anything.
     code = build_xlrc(2, 3, 1)
     h, family = _presented(code, seed=43)
     rng = np.random.default_rng(44)
@@ -389,7 +390,7 @@ def test_repair_builds_its_table_once(monkeypatch):
     ]
     assert calls == {"rref": 1}
     simulate_repair(h, family, words[0], 1)
-    assert calls == {"rref": 1, "kernel": 1}
+    assert calls == {"rref": 2, "kernel": 1}
     built = dict(calls)
     for word in words:
         for i in range(1, h.cols + 1):
@@ -398,7 +399,7 @@ def test_repair_builds_its_table_once(monkeypatch):
     # A table built by verification serves repair the same way.
     other = _presented(code, seed=45)
     assert verify_family(*other, code.params.r, 3, 1).ok
-    built = dict(calls, kernel=2, rref=2)
+    built = dict(calls, kernel=2, rref=4)
     word = systematic_encode(other[0], np.ones(code.params.k, dtype=np.uint8))
     assert calls == built
     for i in range(1, h.cols + 1):
@@ -504,16 +505,17 @@ def test_codeword_forms_give_identical_traces():
 
 
 def test_set_whose_word_reads_no_helper():
-    # Rows 1 and 2 of H sum to the unit word at coordinate 1, so c_1 = 0 on
-    # every codeword. Set {4} of coordinate 1 is realized by that word alone
-    # and reads no helper, between two sets that row 1 realizes.
-    h = BitMatrix([[1, 1, 1, 0, 0], [0, 1, 1, 0, 0], [0, 0, 0, 1, 1]])
+    # Rows 1 and 2 of H sum to the unit word at coordinate 3, so c_3 = 0 on
+    # every codeword. That word is a row of rref(H), so it realizes every set
+    # of coordinate 3, which reads no helper. Those empty spans lie between
+    # the sets of coordinates 2 and 4, which read one helper each.
+    h = BitMatrix([[1, 1, 1, 0, 0], [1, 1, 0, 0, 0], [0, 0, 0, 1, 1]])
     family = RecoveringFamily(
         n=5,
         sets_by_coordinate=(
-            (frozenset({2, 3}), frozenset({4}), frozenset({2, 3, 5})),
-            (frozenset({3}),),
             (frozenset({2}),),
+            (frozenset({1}),),
+            (frozenset({1, 2}), frozenset({4}), frozenset({1, 2, 5})),
             (frozenset({5}),),
             (frozenset({4}),),
         ),
@@ -523,5 +525,7 @@ def test_set_whose_word_reads_no_helper():
         for i in range(1, 6):
             trace = simulate_repair(h, family, word, i)
             _same_trace(trace, repair_trace_by_parity_word(h, family, word, i))
-        reads = simulate_repair(h, family, word, 1).recoveries
-        assert [len(r) for r in reads] == [2, 0, 2]
+        reads = [
+            len(r) for i in (2, 3, 4) for r in simulate_repair(h, family, word, i).recoveries
+        ]
+        assert reads == [1, 0, 0, 0, 1]

@@ -64,6 +64,36 @@ def test_family_members_must_be_integers():
     assert family == _family(3, [[{2}], [{1}], [{1}]])
 
 
+@pytest.mark.parametrize(
+    "form, outer",
+    [(tuple, tuple), (list, tuple), (set, tuple), (iter, tuple),
+     (lambda s: s + s, tuple), (frozenset, list)],
+    ids=["tuple", "list", "set", "iterator", "repeated", "nested-lists"],
+)
+def test_family_stores_each_set_as_a_frozenset(form, outer):
+    # Every set of xlrc(2,2,1)'s canonical family written another way: the
+    # family is the frozenset one, so every reader sees one set of distinct
+    # ints per recovering set.
+    code = build_xlrc(2, 2, 1)
+    p = code.params
+    canonical = canonical_family(code)
+    family = RecoveringFamily(
+        n=np.int64(p.n),
+        sets_by_coordinate=outer(
+            outer(form([np.int64(e) for e in sorted(s)]) for s in sets)
+            for sets in canonical.sets_by_coordinate
+        ),
+    )
+    assert family == canonical and hash(family) == hash(canonical)
+    assert type(family.sets_by_coordinate) is tuple
+    for sets in family.sets_by_coordinate:
+        assert type(sets) is tuple
+        assert all(type(s) is frozenset and all(type(e) is int for e in s) for s in sets)
+    assert verify_family(code.H, family, p.r, p.t, p.x) == verify_family(
+        code.H, canonical, p.r, p.t, p.x
+    )
+
+
 def test_candidate_sets_from_rows():
     h = BitMatrix(WZL_42_INCIDENCE)
     got = candidate_sets(h, 1, 2, mode=ROWS_ONLY)
