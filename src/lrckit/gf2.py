@@ -3,13 +3,17 @@
 Matrices are immutable wrappers over numpy uint8 arrays; all elimination is
 XOR based. Codes are given by parity-check matrices H: the code is the right
 nullspace of H, the dual code is the row space of H. Span enumeration works
-on rows packed into uint64 limbs and streams fixed-size blocks.
+on rows packed into uint64 limbs and streams fixed-size blocks. Each matrix
+is eliminated once: ``_record`` keeps its reduced form for the last 64
+matrices, and rank, rref, the nullspace, codeword and dual-word enumeration,
+the parity words, encoding and repair's parity test read it.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -136,13 +140,12 @@ def _binary(a: np.ndarray, error: type[Exception], message: str) -> np.ndarray:
     return a
 
 
-def _as_array(matrix: BitMatrix | np.ndarray | Sequence) -> np.ndarray:
+def _as_matrix(matrix: BitMatrix | np.ndarray | Sequence) -> BitMatrix:
     if isinstance(matrix, BitMatrix):
-        return matrix.array
-    a = np.asarray(matrix)
-    if a.ndim != 2:
+        return matrix
+    if np.ndim(matrix) != 2:
         raise InvalidParams("expected a two-dimensional binary matrix")
-    return _binary(a, InvalidParams, "matrix entries must be 0 or 1")
+    return BitMatrix(matrix)
 
 
 def _rref(a: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -178,16 +181,41 @@ def _rref(a: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
     return a, tuple(pivots)
 
 
+class _Reduced(NamedTuple):
+    """One elimination of H, read-only: rref(H) and a zero row under it (the
+    kernel's padding unknown), the pivots, the systematic nullspace basis
+    and the nonzero rows' columns as uint64 limbs, which check what H does."""
+
+    reduced: np.ndarray
+    pivots: tuple[int, ...]
+    basis: np.ndarray
+    columns: np.ndarray
+
+
+@lru_cache(maxsize=64)
+def _record(h: BitMatrix) -> _Reduced:
+    """The one elimination of H, kept for each of the last 64 matrices."""
+    reduced, pivots = _rref(np.vstack([h.array, np.zeros((1, h.cols), np.uint8)]))
+    free = np.delete(np.arange(h.cols), pivots)
+    basis = np.zeros((free.size, h.cols), dtype=np.uint8)
+    basis[np.arange(free.size), free] = 1
+    # Pivot row ri reads c_p = sum over free f of R[ri, f] c_f.
+    basis[:, list(pivots)] = reduced[: len(pivots), free].T
+    columns = _pack_rows(reduced[: len(pivots)].T)
+    for array in (reduced, basis, columns):
+        array.setflags(write=False)
+    return _Reduced(reduced, pivots, basis, columns)
+
+
 def rref(matrix: BitMatrix | np.ndarray) -> tuple[BitMatrix, tuple[int, ...]]:
     """Reduced row echelon form over GF(2) and the pivot column indices."""
-    a, pivots = _rref(_as_array(matrix).copy())
-    return BitMatrix(a), pivots
+    record = _record(_as_matrix(matrix))
+    return BitMatrix(record.reduced[:-1]), record.pivots
 
 
 def rank(matrix: BitMatrix | np.ndarray) -> int:
     """Rank over GF(2), by Gaussian elimination."""
-    _, pivots = _rref(_as_array(matrix).copy())
-    return len(pivots)
+    return len(_record(_as_matrix(matrix)).pivots)
 
 
 def nullspace_basis(matrix: BitMatrix | np.ndarray) -> BitMatrix:
@@ -198,15 +226,7 @@ def nullspace_basis(matrix: BitMatrix | np.ndarray) -> BitMatrix:
     the basis is systematic on the free positions. A full-rank input yields a
     0-row result.
     """
-    a = _as_array(matrix)
-    reduced, pivots = _rref(a.copy())
-    cols = a.shape[1]
-    free = np.delete(np.arange(cols), list(pivots))
-    basis = np.zeros((free.size, cols), dtype=np.uint8)
-    basis[np.arange(free.size), free] = 1
-    # Pivot row ri reads c_p = sum over free f of R[ri, f] c_f.
-    basis[:, list(pivots)] = reduced[: len(pivots), free].T
-    return BitMatrix(basis)
+    return BitMatrix(_record(_as_matrix(matrix)).basis)
 
 
 def _pack_rows(a: np.ndarray) -> np.ndarray:
@@ -251,12 +271,11 @@ def iter_codeword_blocks(
     """Yield the codewords of the nullspace of H in blocks of at most
     2**_BLOCK_BITS rows, in information-vector order; raises
     DimensionTooLarge past ``max_dim`` before enumerating anything."""
-    a = _as_array(matrix)
-    basis = nullspace_basis(a).array
+    basis = _record(_as_matrix(matrix)).basis
     if basis.shape[0] > max_dim:
         raise DimensionTooLarge(f"code dimension {basis.shape[0]} exceeds cap {max_dim}")
     for block in _span_blocks(_pack_rows(basis)):
-        yield _unpack_rows(block, a.shape[1])
+        yield _unpack_rows(block, basis.shape[1])
 
 
 def recovery_parity_word(
@@ -275,8 +294,8 @@ def recovery_parity_word(
     of H. None is returned only when that linear system is inconsistent, so
     no such word exists.
     """
-    a = _as_array(matrix)
-    n = a.shape[1]
+    h = _as_matrix(matrix)
+    n = h.cols
     target = _integer(target, "target")
     if not 0 <= target < n:
         raise InvalidParams("target column out of range")
@@ -284,7 +303,7 @@ def recovery_parity_word(
     helpers = [_integer(j, "helper") for j in helpers]
     if not all(0 <= j < n for j in helpers):
         raise InvalidParams("helper column out of range")
-    columns, _, found = _parity_words(a, [(target, helpers)])
+    columns, _, found = _parity_words(h, [(target, helpers)])
     if not found[0]:
         return None
     word = np.zeros(n, dtype=np.uint8)
@@ -307,32 +326,31 @@ def _allowed(n: int, jobs: Sequence[tuple[int, Sequence[int]]]) -> np.ndarray:
 
 
 def _parity_words(
-    a: np.ndarray, jobs: Sequence[tuple[int, Sequence[int]]]
+    h: BitMatrix, jobs: Sequence[tuple[int, Sequence[int]]]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The word ``recovery_parity_word`` finds for every (target, helpers)
     job, 0-based columns already checked, as ``(columns, bounds, found)``:
     ``columns[bounds[k] : bounds[k + 1]]`` holds the ascending columns of
     job k's word other than its target, empty where ``found[k]`` is False.
 
-    H is reduced once. A row-space word is the sum of the reduced rows at the
-    pivot columns where it has a 1, so a job's unknowns are the reduced rows
-    whose pivot lies in helpers + {target}, in pivot order, padded with a
-    zero row to the widest job of its chunk. One batched elimination per
-    chunk of _BLOCK_JOBS jobs solves for them: the equations are the columns
-    outside helpers + {target} (right-hand side 0) and the target column
-    (right-hand side 1), each packed as unknowns + 1 bits. Unknowns are
-    eliminated left to right on the first unused equation that holds them
-    and free unknowns are 0, so the solution is the one the oracle
+    The reduced rows come from H's record. A row-space word is the sum of
+    the reduced rows at the pivot columns where it has a 1, so a job's
+    unknowns are the reduced rows whose pivot lies in helpers + {target}, in
+    pivot order, padded with the record's zero row to the widest job of its
+    chunk. One batched elimination per chunk of _BLOCK_JOBS jobs solves for
+    them: the equations are the columns outside helpers + {target}
+    (right-hand side 0) and the target column (right-hand side 1), each
+    packed as unknowns + 1 bits. Unknowns are eliminated left to right on
+    the first unused equation that holds them and free unknowns are 0, so
+    the solution is the one the oracle
     ``tests/oracles.py::solve_by_pivot_limit`` gives (a reduced echelon form
     is unique). An unused equation left holding its right-hand side means
-    the system is inconsistent. The word is the sum of the solved rows, so it
-    depends on the row space of H and its column order, not on its rows.
+    the system is inconsistent. The word is the sum of the solved rows, so
+    it depends on the row space of H and its column order, not on its rows.
     """
-    n = a.shape[1]
-    reduced, pivots = _rref(a.copy())
+    n = h.cols
+    basis, pivots, *_ = _record(h)
     rank = len(pivots)
-    basis = np.zeros((rank + 1, n), dtype=np.uint8)
-    basis[:rank] = reduced[:rank]
     bit = np.uint64(1) << np.arange(64, dtype=np.uint64)
     # A word's helper columns lie among its job's helpers, so one array of
     # all the helpers' length holds every word, and no column is copied.

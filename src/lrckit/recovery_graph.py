@@ -190,6 +190,10 @@ def structural_check(
 ) -> bool:
     """True iff some vertex of the subset is missing, among its outgoing
     edges staying inside the subset, at least one of the t colors."""
+    if graph.n != family.n:
+        raise InvalidParams("graph and family disagree on n")
+    if len(outcome.colors) != family.n:
+        raise InvalidParams("outcome and family disagree on n")
     sub = frozenset(subset)
     if not sub <= outcome.colored:
         raise InvalidParams("subset must consist of colored vertices")

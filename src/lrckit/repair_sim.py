@@ -2,32 +2,27 @@
 
 Each recovering set is realized by a parity word of the matrix through the
 erased coordinate; the lost symbol is the XOR of the helpers the word reads.
-Everything that does not depend on the codeword comes from two bounded
-caches. Per matrix (64 of them), ``_matrix_record`` holds the systematic
-nullspace basis that encodes messages and H's columns packed into 64-bit
-limbs for the parity test. Per (matrix, family), the verifier's
-realizing-word table holds each set's helpers as one flat column array with
-offsets, each coordinate's helper loads, the shared (helper, bit) pairs and
-the sets that admit no parity word. Repair or ``verify_family``, whichever
-comes first, builds it with one call of the batched parity-word kernel
-``gf2._parity_words``. The kernel reduces H once, solves each set over the
-reduced rows with their pivot in the set plus its coordinate, and returns
-the helper columns in that flat layout.
-So an encode is one product with the basis, and a repair costs its input
-checks, one packed parity test and one gather of the helper bits: no parity
-word is found and nothing is eliminated.
+Everything that does not depend on the codeword is cached. The matrix's
+record in ``gf2``, its one elimination, gives the systematic nullspace basis
+that encodes messages and the reduced rows' columns, packed into 64-bit
+limbs, for the parity test. Per (matrix, family), the verifier's
+realizing-word table, built by the first repair or ``verify_family`` with
+one call of the batched kernel ``gf2._parity_words``, holds each set's
+helpers as one flat column array with offsets, each coordinate's helper
+loads, the shared (helper, bit) pairs and the sets that admit no parity
+word. So an encode is one product with the basis, and a repair costs its
+input checks, one packed parity test and one gather of the helper bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import InvalidCodeword, InvalidParams, _integer
-from .gf2 import BitMatrix, _as_array, _binary, _pack_rows, nullspace_basis
+from .gf2 import BitMatrix, _as_matrix, _binary, _record
 from .verifier import RecoveringFamily, _realizing_helpers
 
 __all__ = ["RepairTrace", "systematic_encode", "simulate_repair"]
@@ -48,26 +43,10 @@ class RepairTrace:
     helper_load: Mapping[int, int]
 
 
-class _MatrixRecord(NamedTuple):
-    """What encoding and the parity test need of a matrix: the systematic
-    nullspace basis, one vector per row, and H's columns packed as uint64
-    limbs (column j of H is row j). Both are read-only."""
-
-    basis: np.ndarray
-    columns: np.ndarray
-
-
-@lru_cache(maxsize=64)
-def _matrix_record(h: BitMatrix) -> _MatrixRecord:
-    columns = _pack_rows(h.array.T)
-    columns.setflags(write=False)
-    return _MatrixRecord(nullspace_basis(h).array, columns)
-
-
 def _fails_checks(h: BitMatrix, cw: np.ndarray) -> bool:
     """Whether the 0/1 uint8 vector ``cw`` fails a parity check of H: the
-    XOR of H's packed columns at the ones of ``cw`` is its syndrome."""
-    ones = _matrix_record(h).columns[cw.view(bool)]
+    XOR of rref(H)'s packed columns at the ones of ``cw`` is its syndrome."""
+    ones = _record(h).columns[cw.view(bool)]
     return bool(np.bitwise_xor.reduce(ones).any())
 
 
@@ -77,9 +56,7 @@ def systematic_encode(h: BitMatrix | np.ndarray, message: Sequence[int]) -> np.n
     check: the message times the systematic nullspace basis. The basis is
     eliminated once per matrix and kept for the last 64 matrices, so an
     encode is one product. The zero message encodes to the zero codeword."""
-    if not isinstance(h, BitMatrix):
-        h = BitMatrix(_as_array(h))
-    basis = _matrix_record(h).basis
+    basis = _record(_as_matrix(h)).basis
     msg = np.asarray(message)
     if msg.ndim != 1 or msg.shape[0] != basis.shape[0]:
         raise InvalidParams(f"message must have length {basis.shape[0]}")

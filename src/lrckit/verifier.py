@@ -22,10 +22,10 @@ from .gf2 import (
     BitMatrix,
     _pack_rows,
     _parity_words,
+    _record,
     _span_blocks,
     _unpack_rows,
     rank,
-    rref,
 )
 
 __all__ = [
@@ -61,9 +61,9 @@ class RecoveringFamily:
     """Recovering sets per coordinate, 1-based.
 
     ``sets_by_coordinate[i - 1]`` lists the sets for coordinate i, in a fixed
-    order. Sets never contain their own coordinate and are nonempty. Any
-    iterable of integer members is stored as a frozenset of ints, and the
-    sets of each coordinate as a tuple.
+    order. Sets never contain their own coordinate and are nonempty. The
+    container, each coordinate's sets and each set may be any iterable; a
+    set is stored as a frozenset of ints, the others as tuples.
     """
 
     n: int
@@ -72,10 +72,11 @@ class RecoveringFamily:
     def __post_init__(self) -> None:
         n = _integer(self.n, "n")
         object.__setattr__(self, "n", n)
-        if n < 1 or len(self.sets_by_coordinate) != n:
+        by_coordinate = tuple(self.sets_by_coordinate)
+        if n < 1 or len(by_coordinate) != n:
             raise InvalidParams("family must list sets for each of the n coordinates")
         normalized = []
-        for i, sets in enumerate(self.sets_by_coordinate, start=1):
+        for i, sets in enumerate(by_coordinate, start=1):
             label = f"coordinate {i}: set member"
             # A frozenset of ints is kept as it is: rebuilding it would only
             # copy it.
@@ -128,12 +129,12 @@ def _low_weight_words(h: BitMatrix, r: int, mode: str) -> np.ndarray:
     elif mode == BOUNDED_COMBOS:
         blocks = _row_combinations(_pack_rows(h.array))
     else:
-        reduced, pivots = rref(h)
+        reduced, pivots, *_ = _record(h)
         if len(pivots) > DUAL_ENUM_RANK_CAP:
             raise DimensionTooLarge(
                 f"dual enumeration needs rank <= {DUAL_ENUM_RANK_CAP}, got {len(pivots)}"
             )
-        blocks = _span_blocks(_pack_rows(reduced.array[: len(pivots)]))
+        blocks = _span_blocks(_pack_rows(reduced[: len(pivots)]))
     kept = []
     for block in blocks:
         weights = np.bitwise_count(block).sum(axis=1, dtype=np.int64)
@@ -242,11 +243,11 @@ class _Realized(NamedTuple):
     ``columns`` holds, 0-based and ascending, the columns other than the
     coordinate of the parity word ``recovery_parity_word`` would return for
     each recovering set, set after set and coordinate after coordinate; a
-    set that admits no parity word holds none. Which word a set
-    with several gets depends on the code, not on the rows of H. ``cuts[i]``
-    lists where each set of coordinate i + 1 starts in ``columns``, then
-    where its last set ends. ``loads[i]`` maps each helper of coordinate i + 1, ascending, to
-    how many of its sets read it; a repair trace gets a copy.
+    set that admits no parity word holds none. Which word a set with several
+    gets depends on the code, not on the rows of H. ``cuts[i]`` lists where
+    each set of coordinate i + 1 starts in ``columns``, then where its last
+    set ends. ``loads[i]`` maps each helper of coordinate i + 1, ascending,
+    to how many of its sets read it; a repair trace gets a copy.
     ``pairs[2 * c + b]`` is the (helper, bit) pair ``(c + 1, b)``, an object
     array whose tuples every repair trace shares. ``unrealized`` lists the
     1-based (coordinate, set) pairs that admit no parity word, in order.
@@ -263,10 +264,10 @@ class _Realized(NamedTuple):
 def _realizing_helpers(h: BitMatrix, family: RecoveringFamily) -> _Realized:
     """The realizing-word table of ``family`` over H, which verification and
     repair share: the parity word of every recovering set, all found by one
-    call of the batched kernel gf2._parity_words, which reduces H once."""
+    call of the batched kernel gf2._parity_words, over H's one elimination."""
     # The job list is only an argument, so it is freed before the loads are.
     columns, bounds, found = _parity_words(
-        h.array,
+        h,
         [
             (i, [e - 1 for e in s])
             for i, sets in enumerate(family.sets_by_coordinate)

@@ -1,14 +1,18 @@
 """The benchmark's seed-0 outputs, pinned.
 
 One in-process, untraced round per lrcbench workload must finish without a
-failed operation and reproduce the digest of its outputs. The benchmark
-modules are imported as they stand, without writing bytecode next to them.
+failed operation and reproduce the digest of its outputs. Started with cold
+caches, it must eliminate each distinct matrix once: the nine study codes
+and the one repair-stream code. The benchmark modules are imported as they
+stand, without writing bytecode next to them.
 """
 
 import sys
 from pathlib import Path
 
 import pytest
+
+from lrckit import gf2, verifier
 
 BENCH = Path(__file__).resolve().parents[1] / "lrcbench"
 
@@ -17,6 +21,8 @@ DIGESTS = {
     "coloring": "36606df3465dfa0cb8c126da03d7a83016b2a6ca7fb212db09d0069d210c7cc9",
     "repair-stream": "a5e282b3bf1260218e24b349041c0bbcaeb4f3be863f05b6037f477e6e44aa9a",
 }
+
+ELIMINATIONS = {"study": 9, "coloring": 0, "repair-stream": 1}
 
 
 @pytest.fixture(scope="module")
@@ -33,9 +39,20 @@ def bench():
 
 
 @pytest.mark.parametrize("workload", sorted(DIGESTS))
-def test_seed_zero_digest(bench, workload):
+def test_seed_zero_digest(bench, workload, monkeypatch):
     workloads, null_tracer = bench
+    eliminations = []
+    rref = gf2._rref
+
+    def counted(a):
+        eliminations.append(a.shape)
+        return rref(a)
+
+    monkeypatch.setattr(gf2, "_rref", counted)
+    gf2._record.cache_clear()
+    verifier._realizing_helpers.cache_clear()
     result = workloads.WORKLOADS[workload](0, null_tracer())
+    assert len(eliminations) == ELIMINATIONS[workload]
     assert result.failures == []
     assert result.attempted > 0
     assert result.digest() == DIGESTS[workload]

@@ -14,6 +14,7 @@ from lrckit import (
     rank,
     recovery_parity_word,
     rref,
+    systematic_encode,
 )
 from lrckit.gf2 import iter_codeword_blocks
 from known_matrices import WZL_42_INCIDENCE
@@ -48,6 +49,29 @@ def test_bitmatrix_rejects_bad_input():
         BitMatrix([0, 1])
     with pytest.raises(ValueError):
         BitMatrix(np.zeros((2, 0), dtype=np.uint8))
+
+
+def test_array_inputs_are_refused_where_bitmatrix_refuses_them():
+    # Every function that takes a matrix reads a plain array as the
+    # BitMatrix of it, so an array with zero columns is refused too.
+    a = np.array(WZL_42_INCIDENCE)
+    assert rank(a) == rank(a.tolist()) == rank(BitMatrix(a)) == 3
+    assert nullspace_basis(a.tolist()) == nullspace_basis(BitMatrix(a))
+    calls = (
+        rank,
+        rref,
+        nullspace_basis,
+        lambda m: next(iter_codeword_blocks(m)),
+        lambda m: recovery_parity_word(m, 0, []),
+        lambda m: systematic_encode(m, []),
+    )
+    for call in calls:
+        with pytest.raises(InvalidParams, match="^matrix must have at least one column$"):
+            call(np.zeros((3, 0), dtype=np.uint8))
+        with pytest.raises(InvalidParams, match="^matrix entries must be 0 or 1$"):
+            call([[0, 2]])
+        with pytest.raises(InvalidParams, match="^expected a two-dimensional binary matrix$"):
+            call([0, 1])
 
 
 def test_bitmatrix_is_immutable():

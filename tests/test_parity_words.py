@@ -42,7 +42,7 @@ def _words(a, jobs):
     """The kernel's words as one dense (jobs, n) row each, the target put
     back where a word was found, after checking that each job's helper
     columns are ascending, miss the target and are empty without a word."""
-    columns, bounds, found = gf2._parity_words(a, jobs)
+    columns, bounds, found = gf2._parity_words(BitMatrix(a), jobs)
     assert bounds.shape == (len(jobs) + 1,) and bounds[0] == 0
     assert bounds[-1] == columns.size and found.shape == (len(jobs),)
     words = np.zeros((len(jobs), a.shape[1]), dtype=np.uint8)
@@ -203,7 +203,7 @@ def test_kernel_words_do_not_depend_on_the_rows_of_h(a):
     rows, n = a.shape
     jobs = _jobs(a, rng, 2 * BLOCK)
     assert _check(a, jobs)["several"]
-    want = gf2._parity_words(a, jobs)
+    want = gf2._parity_words(BitMatrix(a), jobs)
     eye = np.eye(rows, dtype=np.int64)
     lower = np.tril(rng.integers(0, 2, (rows, rows)), -1) + eye
     upper = np.triu(rng.integers(0, 2, (rows, rows)), 1) + eye
@@ -213,7 +213,7 @@ def test_kernel_words_do_not_depend_on_the_rows_of_h(a):
         np.vstack([a, a[[0]] ^ a[[2]]]),
         np.vstack([a, np.zeros((1, n), dtype=np.uint8)]),
     ):
-        got = gf2._parity_words(b[rng.permutation(len(b))].astype(np.uint8), jobs)
+        got = gf2._parity_words(BitMatrix(b[rng.permutation(len(b))]), jobs)
         assert all(np.array_equal(x, y) for x, y in zip(got, want))
 
 
@@ -296,12 +296,14 @@ def test_table_matches_oracle_on_study_codes(seed):
 
 def test_table_build_memory_is_bounded():
     # The repair-stream code: xlrc(5,3,3), n = 224, row-mixed, so nearly
-    # every set goes through the chunked elimination.
+    # every set goes through the chunked elimination. Both caches start
+    # empty, so the peak covers the elimination of H whatever ran before.
     workloads = _bench_workloads()
     code = build_xlrc(5, 3, 3)
     matrix, perm = workloads.present(code.H.array, 0, 0, mix=True)
     h = BitMatrix(matrix)
     family = workloads.permute_family(canonical_family(code), perm)
+    gf2._record.cache_clear()
     verifier._realizing_helpers.cache_clear()
     tracemalloc.start()
     try:
@@ -315,18 +317,22 @@ def test_table_build_memory_is_bounded():
 def test_kernel_memory_stays_below_one_dense_word_array():
     # Canonical xlrc(7,4,3): n = 1,320 and 5,280 jobs, so one (jobs, n)
     # uint8 array of words would take 6,806 KiB. The kernel forms the words
-    # one chunk at a time and returns only their helper columns.
+    # one chunk of _BLOCK_JOBS jobs at a time and returns only their helper
+    # columns, so apart from those its peak is a few chunk-sized uint64
+    # arrays (660 KiB each here), for a quarter of the jobs as for all.
     code = build_xlrc(7, 4, 3)
     jobs = [
         (i, [e - 1 for e in s])
         for i, sets in enumerate(canonical_family(code).sets_by_coordinate)
         for s in sets
     ]
-    a = code.H.array
-    tracemalloc.start()
-    try:
-        gf2._parity_words(a, jobs)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < len(jobs) * a.shape[1]
+    h = code.H
+    gf2._record(h)
+    for count in (len(jobs) // 4, len(jobs)):
+        tracemalloc.start()
+        try:
+            columns, _, _ = gf2._parity_words(h, jobs[:count])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - columns.nbytes < 5 * BLOCK * h.cols * 8, count

@@ -10,6 +10,7 @@ from lrckit import (
     ColoringOutcome,
     InvalidParams,
     RecoveringFamily,
+    RecoveryGraph,
     build_graph,
     build_wzl,
     build_xlrc,
@@ -181,6 +182,24 @@ def test_structural_check_on_colored_subsets():
     assert structural_check(graph, family, outcome, frozenset({1}))
     with pytest.raises(InvalidParams):
         structural_check(graph, family, outcome, frozenset({2}))
+
+
+def test_structural_check_refuses_mismatched_n():
+    # A 6-coordinate family, its outcome and a colored subset, paired with a
+    # graph or an outcome of another length: refused as the siblings refuse it.
+    _, family, graph = _small_setup()
+    outcome = color_vertices(graph, family, trial_permutation(0, 0, 6))
+    subset = frozenset({1})
+    assert structural_check(graph, family, outcome, subset)
+    with pytest.raises(InvalidParams, match="^graph and family disagree on n$"):
+        structural_check(RecoveryGraph(n=3, t=2), family, outcome, subset)
+    with pytest.raises(InvalidParams, match="^graph and family disagree on n$"):
+        color_vertices(RecoveryGraph(n=3, t=2), family, (1, 2, 3))
+    short = ColoringOutcome(permutation=(1, 2, 3), colors=(2, None, 1), colored=subset)
+    with pytest.raises(InvalidParams, match="^outcome and family disagree on n$"):
+        structural_check(graph, family, short, subset)
+    with pytest.raises(InvalidParams, match="^outcome and family disagree on n$"):
+        structural_sweep(family, short)
 
 
 def test_structural_check_detects_saturated_subset():

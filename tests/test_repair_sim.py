@@ -19,12 +19,14 @@ from lrckit import (
     verify_family,
 )
 from lrckit import gf2, repair_sim, verifier
+from lrckit.verifier import AUTO, DUAL_ENUM, resolve_search_mode
 from known_matrices import WZL_42_INCIDENCE, XLRC_221_COMPLEMENT
 from oracles import (
     codewords_by_brute_force,
     fails_parity_by_product,
     parity_words_by_set,
     repair_trace_by_parity_word,
+    rref_by_column_loop,
 )
 
 
@@ -375,14 +377,14 @@ def _counting(monkeypatch):
 
 def test_repair_builds_its_table_once(monkeypatch):
     # The table is built by one call of the batched parity-word kernel,
-    # which reduces H once, with no per-set elimination. The basis is
-    # eliminated once for all encodes, and no repair after the table build
-    # solves or eliminates anything.
+    # with no per-set elimination. H is eliminated once, by the first
+    # encode, and neither the table build nor any repair after it
+    # eliminates anything again.
     code = build_xlrc(2, 3, 1)
     h, family = _presented(code, seed=43)
     rng = np.random.default_rng(44)
     calls = _counting(monkeypatch)
-    repair_sim._matrix_record.cache_clear()
+    gf2._record.cache_clear()
     verifier._realizing_helpers.cache_clear()
     words = [
         systematic_encode(h, rng.integers(0, 2, size=code.params.k, dtype=np.uint8))
@@ -390,7 +392,7 @@ def test_repair_builds_its_table_once(monkeypatch):
     ]
     assert calls == {"rref": 1}
     simulate_repair(h, family, words[0], 1)
-    assert calls == {"rref": 2, "kernel": 1}
+    assert calls == {"rref": 1, "kernel": 1}
     built = dict(calls)
     for word in words:
         for i in range(1, h.cols + 1):
@@ -399,7 +401,7 @@ def test_repair_builds_its_table_once(monkeypatch):
     # A table built by verification serves repair the same way.
     other = _presented(code, seed=45)
     assert verify_family(*other, code.params.r, 3, 1).ok
-    built = dict(calls, kernel=2, rref=4)
+    built = dict(calls, kernel=2, rref=2)
     word = systematic_encode(other[0], np.ones(code.params.k, dtype=np.uint8))
     assert calls == built
     for i in range(1, h.cols + 1):
@@ -412,7 +414,7 @@ def test_encode_eliminates_once_per_matrix(monkeypatch):
     rng = np.random.default_rng(46)
     messages = rng.integers(0, 2, size=(100, 9), dtype=np.uint8)
     calls = _counting(monkeypatch)
-    repair_sim._matrix_record.cache_clear()
+    gf2._record.cache_clear()
     words = [systematic_encode(h, m) for m in messages]
     assert calls == {"rref": 1}
     twin = BitMatrix(np.array(XLRC_221_COMPLEMENT).tolist())
@@ -422,14 +424,37 @@ def test_encode_eliminates_once_per_matrix(monkeypatch):
         assert np.array_equal(systematic_encode(twin, m), word)
         assert np.array_equal(systematic_encode(plain, m), word)
     assert calls == {"rref": 1}
-    # The cached record is read-only, and both repair caches are bounded.
-    record = repair_sim._matrix_record(h)
-    for array in record:
+    # The cached record is read-only and matches the column-loop oracle,
+    # and both caches that repair reads are bounded.
+    record = gf2._record(h)
+    for array in (record.reduced, record.basis, record.columns):
         with pytest.raises(ValueError):
             array[0, 0] = 1
-    assert np.array_equal(record.basis, gf2.nullspace_basis(h).array)
-    assert repair_sim._matrix_record.cache_info().maxsize == 64
+    reduced, pivots = rref_by_column_loop(h.array)
+    assert record.pivots == pivots and not record.reduced[-1].any()
+    assert np.array_equal(record.reduced[:-1], reduced)
+    assert gf2._record.cache_info().maxsize == 64
     assert verifier._realizing_helpers.cache_info().maxsize == 64
+
+
+def test_workflow_eliminates_each_matrix_once(monkeypatch):
+    # Every step of the workflow on one matrix reads the same record:
+    # rank, the search mode, discovery over dual-enum words, the deep
+    # verification, an encode and the repair of every coordinate.
+    code = build_xlrc(2, 3, 1)
+    h, _ = _presented(code, seed=47)
+    p = code.params
+    calls = _counting(monkeypatch)
+    gf2._record.cache_clear()
+    verifier._realizing_helpers.cache_clear()
+    assert rank(h) == p.n - p.k
+    assert resolve_search_mode(h, AUTO) == DUAL_ENUM
+    family = discover_family(h, p.r, p.t, p.x)
+    assert verify_family(h, family, p.r, p.t, p.x, deep=True).deep_checked
+    word = systematic_encode(h, np.ones(p.k, dtype=np.uint8))
+    for i in range(1, h.cols + 1):
+        assert set(simulate_repair(h, family, word, i).recovered_values) == {int(word[i - 1])}
+    assert calls == {"rref": 1, "kernel": 1}
 
 
 @pytest.mark.parametrize("rows", [1, 63, 64, 65, 129])

@@ -67,8 +67,8 @@ def test_family_members_must_be_integers():
 @pytest.mark.parametrize(
     "form, outer",
     [(tuple, tuple), (list, tuple), (set, tuple), (iter, tuple),
-     (lambda s: s + s, tuple), (frozenset, list)],
-    ids=["tuple", "list", "set", "iterator", "repeated", "nested-lists"],
+     (lambda s: s + s, tuple), (frozenset, list), (frozenset, iter)],
+    ids=["tuple", "list", "set", "iterator", "repeated", "nested-lists", "nested-iterators"],
 )
 def test_family_stores_each_set_as_a_frozenset(form, outer):
     # Every set of xlrc(2,2,1)'s canonical family written another way: the
