@@ -6,13 +6,14 @@ nullspace of H, the dual code is the row space of H. Span enumeration works
 on rows packed into uint64 limbs and streams fixed-size blocks. Each matrix
 is eliminated once: ``_record`` keeps its reduced form for the last 64
 matrices, and rank, rref, the nullspace, codeword and dual-word enumeration,
-the parity words, encoding and repair's parity test read it.
+the parity words, encoding and repair's parity test read it. The parity-word
+kernel solves each (target, helpers) job on its own, over the reduced rows
+held as Python ints.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -33,12 +34,6 @@ __all__ = [
 ENUMERATION_CAP = 25
 
 _BLOCK_BITS = 16
-
-# Jobs per chunk of the parity-word kernel; a chunk's elimination holds one
-# uint64 array of jobs x cols x ceil((unknowns + 1) / 64) limbs, with at most
-# |helpers| + 1 unknowns per job, and one uint64 scratch limb of jobs x cols;
-# its words take one uint8 array of jobs x cols.
-_BLOCK_JOBS = 2**6
 
 
 class BitMatrix:
@@ -182,9 +177,9 @@ def _rref(a: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
 
 
 class _Reduced(NamedTuple):
-    """One elimination of H, read-only: rref(H) and a zero row under it (the
-    kernel's padding unknown), the pivots, the systematic nullspace basis
-    and the nonzero rows' columns as uint64 limbs, which check what H does."""
+    """One elimination of H, read-only: rref(H), the pivots, the systematic
+    nullspace basis and the nonzero rows' columns as uint64 limbs, which
+    check what H does."""
 
     reduced: np.ndarray
     pivots: tuple[int, ...]
@@ -195,7 +190,7 @@ class _Reduced(NamedTuple):
 @lru_cache(maxsize=64)
 def _record(h: BitMatrix) -> _Reduced:
     """The one elimination of H, kept for each of the last 64 matrices."""
-    reduced, pivots = _rref(np.vstack([h.array, np.zeros((1, h.cols), np.uint8)]))
+    reduced, pivots = _rref(np.array(h.array))
     free = np.delete(np.arange(h.cols), pivots)
     basis = np.zeros((free.size, h.cols), dtype=np.uint8)
     basis[np.arange(free.size), free] = 1
@@ -210,7 +205,7 @@ def _record(h: BitMatrix) -> _Reduced:
 def rref(matrix: BitMatrix | np.ndarray) -> tuple[BitMatrix, tuple[int, ...]]:
     """Reduced row echelon form over GF(2) and the pivot column indices."""
     record = _record(_as_matrix(matrix))
-    return BitMatrix(record.reduced[:-1]), record.pivots
+    return BitMatrix(record.reduced), record.pivots
 
 
 def rank(matrix: BitMatrix | np.ndarray) -> int:
@@ -312,19 +307,6 @@ def recovery_parity_word(
     return word
 
 
-def _allowed(n: int, jobs: Sequence[tuple[int, Sequence[int]]]) -> np.ndarray:
-    """(jobs, n) bool mask of each job's helpers + {target}."""
-    sizes = [len(helpers) for _, helpers in jobs]
-    members = chain.from_iterable(helpers for _, helpers in jobs)
-    mask = np.zeros((len(jobs), n), dtype=bool)
-    mask[
-        np.repeat(np.arange(len(jobs)), sizes),
-        np.fromiter(members, dtype=np.intp, count=sum(sizes)),
-    ] = True
-    mask[np.arange(len(jobs)), [target for target, _ in jobs]] = True
-    return mask
-
-
 def _parity_words(
     h: BitMatrix, jobs: Sequence[tuple[int, Sequence[int]]]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -333,88 +315,58 @@ def _parity_words(
     ``columns[bounds[k] : bounds[k + 1]]`` holds the ascending columns of
     job k's word other than its target, empty where ``found[k]`` is False.
 
-    The reduced rows come from H's record. A row-space word is the sum of
-    the reduced rows at the pivot columns where it has a 1, so a job's
-    unknowns are the reduced rows whose pivot lies in helpers + {target}, in
-    pivot order, padded with the record's zero row to the widest job of its
-    chunk. One batched elimination per chunk of _BLOCK_JOBS jobs solves for
-    them: the equations are the columns outside helpers + {target}
-    (right-hand side 0) and the target column (right-hand side 1), each
-    packed as unknowns + 1 bits. Unknowns are eliminated left to right on
-    the first unused equation that holds them and free unknowns are 0, so
-    the solution is the one the oracle
+    The rows of rref(H) come from H's record, as Python ints (bit c is
+    column c). A row-space word is the sum of the reduced rows at the pivot
+    columns where it has a 1, so a job's unknowns are the at most
+    |helpers| + 1 reduced rows whose pivot lies in helpers + {target}, and
+    each job is solved on its own. Masked to the target and the columns
+    outside helpers + {target}, the solved rows must sum to the target bit
+    alone. The unknowns go in pivot order into a basis keyed on each masked
+    sum's top bit, each entry carrying its unmasked sum; an unknown that
+    reduces to zero depends on earlier ones and stays out. A remainder of
+    the target bit against the basis means no word; otherwise the word is
+    the sum the reduction collects. Unknowns taken in pivot order with free
+    ones left at 0 give the solution the oracle
     ``tests/oracles.py::solve_by_pivot_limit`` gives (a reduced echelon form
-    is unique). An unused equation left holding its right-hand side means
-    the system is inconsistent. The word is the sum of the solved rows, so
-    it depends on the row space of H and its column order, not on its rows.
+    is unique), so the words are its words. They depend on the row space of
+    H and its column order, not on its rows.
     """
-    n = h.cols
-    basis, pivots, *_ = _record(h)
-    rank = len(pivots)
-    bit = np.uint64(1) << np.arange(64, dtype=np.uint64)
+    record = _record(h)
+    packed = np.packbits(record.reduced[: len(record.pivots)], axis=1, bitorder="little")
+    rows = [int.from_bytes(row.tobytes(), "little") for row in packed]
+    row_of = {c: k for k, c in enumerate(record.pivots)}
     # A word's helper columns lie among its job's helpers, so one array of
     # all the helpers' length holds every word, and no column is copied.
     columns = np.empty(sum(len(helpers) for _, helpers in jobs), dtype=np.intp)
     filled = 0
     bounds = np.zeros(len(jobs) + 1, dtype=np.intp)
     found = np.zeros(len(jobs), dtype=bool)
-    for start in range(0, len(jobs), _BLOCK_JOBS):
-        chunk = jobs[start : start + _BLOCK_JOBS]
-        targets = [target for target, _ in chunk]
-        each = np.arange(len(chunk))
-        inside = _allowed(n, chunk)
-        # Row ``rank`` of the basis is the zero row that pads the unknowns.
-        unknowns = np.where(inside[:, list(pivots)], np.arange(rank), rank)
-        unknowns.sort(axis=1)
-        width = int(np.count_nonzero(unknowns < rank, axis=1).max())
-        unknowns = unknowns[:, :width]
-        # Bit j of an equation is bit j % 64 of its limb j // 64; the
-        # right-hand side is bit ``width``.
-        eqs = np.zeros((len(chunk), n, width // 64 + 1), dtype=np.uint64)
-        # Scratch for one limb of every equation; rewritten before it is read.
-        limb = np.empty((len(chunk), n), dtype=np.uint64)
-        for j in range(width):
-            np.multiply(basis[unknowns[:, j]], bit[j & 63], out=limb)
-            eqs[:, :, j >> 6] |= limb
-        inside[each, targets] = False
-        eqs[inside] = 0
-        eqs[each, targets, width >> 6] |= bit[width & 63]
-        holds = np.empty((len(chunk), n), dtype=bool)
-        candidates = np.empty_like(holds)
-        used = np.zeros_like(holds)
-        # The equation holding each unknown's pivot; 0 for a free unknown.
-        pivot_of = np.zeros((len(chunk), width), dtype=np.intp)
-        pivoted = np.zeros((len(chunk), width), dtype=bool)
-        for j in range(width):
-            np.bitwise_and(eqs[:, :, j >> 6], bit[j & 63], out=limb)
-            np.not_equal(limb, 0, out=holds)
-            # holds and not used: the equations that may take the pivot.
-            np.greater(holds, used, out=candidates)
-            p = candidates.argmax(axis=1)
-            took = candidates[each, p]
-            if not took.any():
-                continue
-            holds[each, p] = False
-            holds &= took[:, None]
-            # Add the pivot equation to every other equation holding j.
-            k, e = np.nonzero(holds)
-            eqs[k, e] ^= eqs[k, p[k]]
-            used[each, p] |= took
-            pivot_of[:, j] = p
-            pivoted[:, j] = took
-        np.bitwise_and(eqs[:, :, width >> 6], bit[width & 63], out=limb)
-        rhs = limb != 0
-        solvable = ~(rhs & ~used).any(axis=1)
-        solution = np.take_along_axis(rhs, pivot_of, axis=1) & pivoted
-        solution &= solvable[:, None]
-        words = np.zeros((len(chunk), n), dtype=np.uint8)
-        for j in range(width):
-            words ^= basis[unknowns[:, j]] * solution[:, j, None]
-        # The target is no helper; a job without a word has a zero row.
-        words[each, targets] = 0
-        ids = np.flatnonzero(words) % n
-        columns[filled : filled + ids.size] = ids
-        filled += ids.size
-        bounds[start + 1 : start + len(chunk) + 1] = np.count_nonzero(words, axis=1)
-        found[start : start + len(chunk)] = solvable
-    return columns[:filled], np.cumsum(bounds), found
+    for k, (target, helpers) in enumerate(jobs):
+        # Columns may be numpy integers, which cannot shift past 63 bits.
+        target = int(target)
+        others = {*map(int, helpers)} - {target}
+        # Masking keeps the target and the columns outside helpers + {target}.
+        keep = ~sum(1 << c for c in others)
+        basis: dict[int, tuple[int, int]] = {}
+        for row in sorted(row_of[c] for c in others | {target} if c in row_of):
+            masked, word = _reduce(basis, rows[row] & keep, rows[row])
+            if masked:
+                basis[masked.bit_length() - 1] = masked, word
+        remainder, word = _reduce(basis, 1 << target, 0)
+        if not remainder:
+            ids = [c for c in sorted(others) if word >> c & 1]
+            columns[filled : filled + len(ids)] = ids
+            filled += len(ids)
+            found[k] = True
+        bounds[k + 1] = filled
+    return columns[:filled], bounds, found
+
+
+def _reduce(basis: dict[int, tuple[int, int]], masked: int, word: int) -> tuple[int, int]:
+    """Reduce a masked sum against a basis keyed on top bits, adding each
+    entry's unmasked sum to ``word``; a nonzero remainder lies outside the
+    basis's span."""
+    while masked and (entry := basis.get(masked.bit_length() - 1)):
+        masked ^= entry[0]
+        word ^= entry[1]
+    return masked, word

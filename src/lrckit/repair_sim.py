@@ -7,7 +7,7 @@ record in ``gf2``, its one elimination, gives the systematic nullspace basis
 that encodes messages and the reduced rows' columns, packed into 64-bit
 limbs, for the parity test. Per (matrix, family), the verifier's
 realizing-word table, built by the first repair or ``verify_family`` with
-one call of the batched kernel ``gf2._parity_words``, holds each set's
+one call of the parity-word kernel ``gf2._parity_words``, holds each set's
 helpers as one flat column array with offsets, each coordinate's helper
 loads, the shared (helper, bit) pairs and the sets that admit no parity
 word. So an encode is one product with the basis, and a repair costs its

@@ -264,7 +264,8 @@ class _Realized(NamedTuple):
 def _realizing_helpers(h: BitMatrix, family: RecoveringFamily) -> _Realized:
     """The realizing-word table of ``family`` over H, which verification and
     repair share: the parity word of every recovering set, all found by one
-    call of the batched kernel gf2._parity_words, over H's one elimination."""
+    call of the parity-word kernel gf2._parity_words, over H's one
+    elimination."""
     # The job list is only an argument, so it is freed before the loads are.
     columns, bounds, found = _parity_words(
         h,

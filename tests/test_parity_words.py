@@ -1,7 +1,7 @@
-"""The batched parity-word kernel ``gf2._parity_words`` against the
-reduced-row oracle and the row-loop oracle, on awkward matrices, at chunk
-boundaries, under a change of the rows of H and on the benchmark's study
-codes, and the memory its table build takes."""
+"""The parity-word kernel ``gf2._parity_words`` against the reduced-row
+oracle and the row-loop oracle, on awkward matrices, on columns past one
+machine word, for job lists of several lengths, under a change of the rows
+of H and on the benchmark's codes, and the memory its table build takes."""
 
 import sys
 import tracemalloc
@@ -22,7 +22,6 @@ from lrckit import (
 from lrckit import gf2, verifier
 from oracles import parity_word_by_reduced_rows, parity_word_by_row_loop, words_inside
 
-BLOCK = gf2._BLOCK_JOBS
 BENCH = Path(__file__).resolve().parents[1] / "lrcbench"
 
 
@@ -111,9 +110,7 @@ def _mixed(rows, n, seed, weight=4):
     return ((mixing @ base) % 2).astype(np.uint8)
 
 
-@pytest.mark.parametrize("block", [1, 7, BLOCK])
-def test_kernel_matches_oracle_with_duplicate_dependent_and_zero_rows(monkeypatch, block):
-    monkeypatch.setattr(gf2, "_BLOCK_JOBS", block)
+def test_kernel_matches_oracle_with_duplicate_dependent_and_zero_rows():
     rng = np.random.default_rng(20)
     seen = Counter()
     for _ in range(4):
@@ -129,15 +126,22 @@ def test_kernel_matches_oracle_with_duplicate_dependent_and_zero_rows(monkeypatc
 @pytest.mark.parametrize("rows", [63, 64, 70])
 def test_kernel_matches_oracle_past_one_limb(rows):
     # A job's unknowns are the reduced rows with their pivot among its
-    # helpers + {target}, and each equation holds unknowns + 1 bits. These
-    # matrices have full rank, so with every other column a helper that is
-    # rows + 1 bits: one limb at 63 rows, two from 64 on.
+    # helpers + {target}. These matrices have full rank, so with every other
+    # column a helper a job has as many unknowns as H has rows, and the
+    # kernel's rows span 90 columns, past one 64-bit word.
     a = _mixed(rows, 90, seed=rows)
     rng = np.random.default_rng(rows)
     jobs = _jobs(a, rng, 30)
     for target in range(0, 90, 9):
         others = [j for j in range(90) if j != target]
         jobs += [(target, others), (target, sorted(rng.choice(others, 80, replace=False)))]
+    # Columns as numpy int64 at 64 and above, with a helper repeated and the
+    # target listed among its own helpers.
+    for target, helpers in _jobs(a, rng, 30):
+        if target >= 64:
+            helpers = np.array(helpers + helpers[:1] + [target], dtype=np.int64)
+            jobs.append((np.int64(target), list(helpers)))
+    assert any(isinstance(target, np.int64) for target, _ in jobs)
     seen = _check(a, jobs)
     assert seen["several"]
 
@@ -168,10 +172,10 @@ def test_kernel_empty_helpers():
     assert _check(a, jobs) == {"one": 1, "none": 4}
 
 
-@pytest.mark.parametrize("count", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+@pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 129])
 def test_kernel_job_counts_around_the_chunk_size(count):
     # Jobs that no row of H, as written, fits: no word is one of its rows.
-    # Every chunk holds every job of its range, whatever its word.
+    # Every job gets its own word and its own slice, whatever its word.
     a = _mixed(16, 40, seed=22)
     rng = np.random.default_rng(count)
     jobs = []
@@ -192,16 +196,25 @@ def test_kernel_without_rows():
     assert words.shape == (1, 4) and not words.any() and not found.any()
 
 
+def _presented_xlrc743():
+    """Row-mixed xlrc(7,4,3), n = 1,320, as the benchmark presents it."""
+    matrix, _ = _bench_workloads().present(build_xlrc(7, 4, 3).H.array, 0, 0, mix=True)
+    return matrix
+
+
 @pytest.mark.parametrize(
-    "a", [_mixed(16, 40, seed=23), build_xlrc(2, 3, 1).H.array], ids=["mixed", "xlrc231"]
+    "make",
+    [lambda: _mixed(16, 40, seed=23), lambda: build_xlrc(2, 3, 1).H.array, _presented_xlrc743],
+    ids=["mixed", "xlrc231", "xlrc743-mixed"],
 )
-def test_kernel_words_do_not_depend_on_the_rows_of_h(a):
+def test_kernel_words_do_not_depend_on_the_rows_of_h(make):
     # The same code written four other ways: rows mixed by an invertible
     # matrix, or a duplicated, a dependent or a zero row added, with the rows
     # shuffled each time. Only the row space and the column order count.
+    a = make()
     rng = np.random.default_rng(24)
     rows, n = a.shape
-    jobs = _jobs(a, rng, 2 * BLOCK)
+    jobs = _jobs(a, rng, 128)
     assert _check(a, jobs)["several"]
     want = gf2._parity_words(BitMatrix(a), jobs)
     eye = np.eye(rows, dtype=np.int64)
@@ -295,9 +308,9 @@ def test_table_matches_oracle_on_study_codes(seed):
 
 
 def test_table_build_memory_is_bounded():
-    # The repair-stream code: xlrc(5,3,3), n = 224, row-mixed, so nearly
-    # every set goes through the chunked elimination. Both caches start
-    # empty, so the peak covers the elimination of H whatever ran before.
+    # The repair-stream code: xlrc(5,3,3), n = 224, row-mixed as the
+    # benchmark presents it. Both caches start empty, so the peak covers the
+    # elimination of H whatever ran before.
     workloads = _bench_workloads()
     code = build_xlrc(5, 3, 3)
     matrix, perm = workloads.present(code.H.array, 0, 0, mix=True)
@@ -315,11 +328,11 @@ def test_table_build_memory_is_bounded():
 
 
 def test_kernel_memory_stays_below_one_dense_word_array():
-    # Canonical xlrc(7,4,3): n = 1,320 and 5,280 jobs, so one (jobs, n)
-    # uint8 array of words would take 6,806 KiB. The kernel forms the words
-    # one chunk of _BLOCK_JOBS jobs at a time and returns only their helper
-    # columns, so apart from those its peak is a few chunk-sized uint64
-    # arrays (660 KiB each here), for a quarter of the jobs as for all.
+    # Canonical xlrc(7,4,3): n = 1,320, 165 rows and 5,280 jobs, so one
+    # (jobs, n) uint8 array of words would take 6,806 KiB, and 1,701 KiB
+    # for a quarter of the jobs. The kernel solves one job at a time and
+    # returns only their helper columns, so apart from those its peak stays
+    # below two copies of H (425 KiB), for a quarter of the jobs as for all.
     code = build_xlrc(7, 4, 3)
     jobs = [
         (i, [e - 1 for e in s])
@@ -335,4 +348,4 @@ def test_kernel_memory_stays_below_one_dense_word_array():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak - columns.nbytes < 5 * BLOCK * h.cols * 8, count
+        assert peak - columns.nbytes < 2 * h.rows * h.cols, count

@@ -359,7 +359,7 @@ def test_repair_errors_match_parity_word_oracle():
 
 
 def _counting(monkeypatch):
-    """Count calls of the batched parity-word kernel and _rref."""
+    """Count calls of the parity-word kernel and _rref."""
     calls = Counter()
 
     def counted(name, fn):
@@ -376,7 +376,7 @@ def _counting(monkeypatch):
 
 
 def test_repair_builds_its_table_once(monkeypatch):
-    # The table is built by one call of the batched parity-word kernel,
+    # The table is built by one call of the parity-word kernel,
     # with no per-set elimination. H is eliminated once, by the first
     # encode, and neither the table build nor any repair after it
     # eliminates anything again.
@@ -431,8 +431,8 @@ def test_encode_eliminates_once_per_matrix(monkeypatch):
         with pytest.raises(ValueError):
             array[0, 0] = 1
     reduced, pivots = rref_by_column_loop(h.array)
-    assert record.pivots == pivots and not record.reduced[-1].any()
-    assert np.array_equal(record.reduced[:-1], reduced)
+    assert record.pivots == pivots
+    assert np.array_equal(record.reduced, reduced)
     assert gf2._record.cache_info().maxsize == 64
     assert verifier._realizing_helpers.cache_info().maxsize == 64
 
