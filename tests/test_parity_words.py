@@ -110,7 +110,10 @@ def _mixed(rows, n, seed, weight=4):
     return ((mixing @ base) % 2).astype(np.uint8)
 
 
-def test_kernel_matches_oracle_with_duplicate_dependent_and_zero_rows():
+@pytest.mark.parametrize("batch", [1, 7, 64])
+def test_kernel_matches_oracle_with_duplicate_dependent_and_zero_rows(batch):
+    # The jobs are also handed to the kernel in calls of at most `batch`
+    # jobs: a job's word must not depend on the jobs that share its call.
     rng = np.random.default_rng(20)
     seen = Counter()
     for _ in range(4):
@@ -119,7 +122,13 @@ def test_kernel_matches_oracle_with_duplicate_dependent_and_zero_rows():
         a[3] = a[0] ^ a[2]
         a[4] = 0
         a = a[rng.permutation(12)].astype(np.uint8)
-        seen += _check(a, _jobs(a, rng, 40))
+        jobs = _jobs(a, rng, 40)
+        seen += _check(a, jobs)
+        words, found = _words(a, jobs)
+        for start in range(0, len(jobs), batch):
+            part, part_found = _words(a, jobs[start : start + batch])
+            assert np.array_equal(part, words[start : start + batch])
+            assert np.array_equal(part_found, found[start : start + batch])
     assert set(seen) == {"none", "one", "several"}
 
 
