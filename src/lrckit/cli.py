@@ -45,8 +45,8 @@ _SWEEP_PERMUTATIONS = 20
 
 def render_matrix(matrix: BitMatrix) -> str:
     lines = [f"{matrix.rows} {matrix.cols}"]
-    for i in range(matrix.rows):
-        lines.append("".join(str(int(v)) for v in matrix.row(i)))
+    for row in matrix.array:
+        lines.append("".join(str(int(v)) for v in row))
     return "\n".join(lines) + "\n"
 
 
@@ -60,10 +60,10 @@ def parse_matrix(text: str) -> BitMatrix:
     tokens = lines[0].split()
     if len(tokens) != 2:
         raise ParseError(1, 'header must be "rows cols"')
-    try:
-        rows, cols = int(tokens[0]), int(tokens[1])
-    except ValueError:
-        raise ParseError(1, "header dimensions must be integers") from None
+    # int() alone would take "+2", "1_0" and non-ASCII digits.
+    if not all(token.isascii() and token.isdigit() for token in tokens):
+        raise ParseError(1, "header dimensions must be integers")
+    rows, cols = int(tokens[0]), int(tokens[1])
     if rows < 1 or cols < 1:
         raise ParseError(1, "dimensions must be positive")
     if len(lines) - 1 < rows:

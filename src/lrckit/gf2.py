@@ -4,11 +4,12 @@ Matrices are immutable wrappers over numpy uint8 arrays; all elimination is
 XOR based. Codes are given by parity-check matrices H: the code is the right
 nullspace of H, the dual code is the row space of H. Span enumeration works
 on rows packed into uint64 limbs and streams fixed-size blocks. Each matrix
-is eliminated once: ``_record`` keeps its reduced form for the last 64
-matrices, and rank, rref, the nullspace, codeword and dual-word enumeration,
-the parity words, encoding and repair's parity test read it. The parity-word
-kernel solves each (target, helpers) job on its own, over the reduced rows
-held as Python ints.
+is eliminated once: ``_record`` keeps rref(H), its pivots and the packed
+columns of repair's parity test for the last 64 matrices, and rank, rref,
+the nullspace, codeword and dual-word enumeration, the parity words,
+encoding and the parity test read it. The nullspace basis is built from it
+on each call. The parity-word kernel solves each (target, helpers) job on
+its own, over the reduced rows held as Python ints.
 """
 
 from __future__ import annotations
@@ -52,24 +53,6 @@ class BitMatrix:
         self._a = a
         self._hash: int | None = None
 
-    @classmethod
-    def identity(cls, n: int) -> "BitMatrix":
-        if _integer(n, "identity size") < 1:
-            raise InvalidParams("identity size must be positive")
-        return cls(np.eye(n, dtype=np.uint8))
-
-    @classmethod
-    def ones(cls, rows: int, cols: int) -> "BitMatrix":
-        if _integer(rows, "rows") < 1 or _integer(cols, "cols") < 1:
-            raise InvalidParams("ones matrix must have positive shape")
-        return cls(np.ones((rows, cols), dtype=np.uint8))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "BitMatrix":
-        if _integer(rows, "rows") < 0 or _integer(cols, "cols") < 1:
-            raise InvalidParams("zeros matrix needs rows >= 0 and cols >= 1")
-        return cls(np.zeros((rows, cols), dtype=np.uint8))
-
     @property
     def rows(self) -> int:
         return self._a.shape[0]
@@ -82,30 +65,6 @@ class BitMatrix:
     def array(self) -> np.ndarray:
         """Read-only uint8 view of the entries."""
         return self._a
-
-    def _index(self, value: int, axis: int) -> int:
-        """``value`` as a 0-based row (axis 0) or column (axis 1) index;
-        negative indices count as out of range."""
-        name = ("row", "column")[axis]
-        index = _integer(value, name)
-        size = self._a.shape[axis]
-        if not 0 <= index < size:
-            raise InvalidParams(f"{name} {index} out of range for {size} {name}s")
-        return index
-
-    def row(self, i: int) -> np.ndarray:
-        return self._a[self._index(i, 0)]
-
-    def row_support(self, i: int) -> tuple[int, ...]:
-        """0-based column indices of the ones in row i."""
-        return tuple(int(j) for j in np.nonzero(self._a[self._index(i, 0)])[0])
-
-    def column_support(self, j: int) -> tuple[int, ...]:
-        """0-based row indices of the ones in column j."""
-        return tuple(int(i) for i in np.nonzero(self._a[:, self._index(j, 1)])[0])
-
-    def __getitem__(self, idx):
-        return self._a[idx]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BitMatrix):
@@ -177,13 +136,11 @@ def _rref(a: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
 
 
 class _Reduced(NamedTuple):
-    """One elimination of H, read-only: rref(H), the pivots, the systematic
-    nullspace basis and the nonzero rows' columns as uint64 limbs, which
-    check what H does."""
+    """One elimination of H, read-only: rref(H), the pivots and the nonzero
+    rows' columns as uint64 limbs, which check what H does."""
 
     reduced: np.ndarray
     pivots: tuple[int, ...]
-    basis: np.ndarray
     columns: np.ndarray
 
 
@@ -191,15 +148,10 @@ class _Reduced(NamedTuple):
 def _record(h: BitMatrix) -> _Reduced:
     """The one elimination of H, kept for each of the last 64 matrices."""
     reduced, pivots = _rref(np.array(h.array))
-    free = np.delete(np.arange(h.cols), pivots)
-    basis = np.zeros((free.size, h.cols), dtype=np.uint8)
-    basis[np.arange(free.size), free] = 1
-    # Pivot row ri reads c_p = sum over free f of R[ri, f] c_f.
-    basis[:, list(pivots)] = reduced[: len(pivots), free].T
     columns = _pack_rows(reduced[: len(pivots)].T)
-    for array in (reduced, basis, columns):
+    for array in (reduced, columns):
         array.setflags(write=False)
-    return _Reduced(reduced, pivots, basis, columns)
+    return _Reduced(reduced, pivots, columns)
 
 
 def rref(matrix: BitMatrix | np.ndarray) -> tuple[BitMatrix, tuple[int, ...]]:
@@ -219,9 +171,16 @@ def nullspace_basis(matrix: BitMatrix | np.ndarray) -> BitMatrix:
     Rows are ordered by their free (non-pivot) column, ascending; each basis
     vector has a 1 at its free column and zeros at all other free columns, so
     the basis is systematic on the free positions. A full-rank input yields a
-    0-row result.
+    0-row result. The basis is built from H's record on each call.
     """
-    return BitMatrix(_record(_as_matrix(matrix)).basis)
+    h = _as_matrix(matrix)
+    reduced, pivots, _ = _record(h)
+    free = np.delete(np.arange(h.cols), pivots)
+    basis = np.zeros((free.size, h.cols), dtype=np.uint8)
+    basis[np.arange(free.size), free] = 1
+    # Pivot row ri reads c_p = sum over free f of R[ri, f] c_f.
+    basis[:, list(pivots)] = reduced[: len(pivots), free].T
+    return BitMatrix(basis)
 
 
 def _pack_rows(a: np.ndarray) -> np.ndarray:
@@ -266,7 +225,7 @@ def iter_codeword_blocks(
     """Yield the codewords of the nullspace of H in blocks of at most
     2**_BLOCK_BITS rows, in information-vector order; raises
     DimensionTooLarge past ``max_dim`` before enumerating anything."""
-    basis = _record(_as_matrix(matrix)).basis
+    basis = nullspace_basis(matrix).array
     if basis.shape[0] > max_dim:
         raise DimensionTooLarge(f"code dimension {basis.shape[0]} exceeds cap {max_dim}")
     for block in _span_blocks(_pack_rows(basis)):

@@ -3,15 +3,16 @@
 Each recovering set is realized by a parity word of the matrix through the
 erased coordinate; the lost symbol is the XOR of the helpers the word reads.
 Everything that does not depend on the codeword is cached. The matrix's
-record in ``gf2``, its one elimination, gives the systematic nullspace basis
-that encodes messages and the reduced rows' columns, packed into 64-bit
-limbs, for the parity test. Per (matrix, family), the verifier's
+record in ``gf2``, its one elimination, gives rref(H), whose free columns
+encode messages, and the reduced rows' columns, packed into 64-bit limbs,
+for the parity test. Per (matrix, family), the verifier's
 realizing-word table, built by the first repair or ``verify_family`` with
 one call of the parity-word kernel ``gf2._parity_words``, holds each set's
 helpers as one flat column array with offsets, each coordinate's helper
 loads, the shared (helper, bit) pairs and the sets that admit no parity
-word. So an encode is one product with the basis, and a repair costs its
-input checks, one packed parity test and one gather of the helper bits.
+word. So an encode is one product with rref(H)'s free columns, and a
+repair costs its input checks, one packed parity test and one gather of the
+helper bits.
 """
 
 from __future__ import annotations
@@ -53,16 +54,24 @@ def _fails_checks(h: BitMatrix, cw: np.ndarray) -> bool:
 def systematic_encode(h: BitMatrix | np.ndarray, message: Sequence[int]) -> np.ndarray:
     """Embed a length-(cols - rank) message at the pivot-free columns of the
     reduced parity-check matrix and fill the pivot columns to satisfy every
-    check: the message times the systematic nullspace basis. The basis is
-    eliminated once per matrix and kept for the last 64 matrices, so an
-    encode is one product. The zero message encodes to the zero codeword."""
-    basis = _record(_as_matrix(h)).basis
+    check: pivot row ri of rref(H) gives its pivot bit as the sum of the
+    message bits at the free columns where the row has a 1. That is the
+    message times the systematic nullspace basis. rref(H) is eliminated once
+    per matrix and kept for the last 64 matrices, so an encode is one
+    product with its free columns. The zero message encodes to the zero
+    codeword."""
+    h = _as_matrix(h)
+    reduced, pivots, _ = _record(h)
+    free = np.delete(np.arange(h.cols), pivots)
     msg = np.asarray(message)
-    if msg.ndim != 1 or msg.shape[0] != basis.shape[0]:
-        raise InvalidParams(f"message must have length {basis.shape[0]}")
+    if msg.ndim != 1 or msg.shape[0] != free.size:
+        raise InvalidParams(f"message must have length {free.size}")
     msg = _binary(msg, InvalidParams, "message entries must be 0 or 1")
+    word = np.zeros(h.cols, dtype=np.uint8)
+    word[free] = msg
     # uint8 sums wrap modulo 256, an even number, so their parity is exact.
-    return (msg @ basis) & 1
+    word[list(pivots)] = (reduced[: len(pivots), free] @ msg) & 1
+    return word
 
 
 def simulate_repair(

@@ -51,6 +51,10 @@ def test_parse_accepts_crlf():
         ("1 2\n10\n01\n", 3),
         ("1 2\n1\n", 2),
         ("1 2\n1x\n", 2),
+        # Headers that int() reads but the "rows cols" format does not allow.
+        ("+1 2\n10\n", 1),
+        ("\uff11 2\n10\n", 1),
+        ("1_0 2\n" + "10\n" * 10, 1),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line):

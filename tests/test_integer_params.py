@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from lrckit import (
-    BitMatrix,
     InvalidParams,
     RecoveringFamily,
     build_wzl,
@@ -58,14 +57,6 @@ CALLS = {
     "build_wzl_m": lambda v: build_wzl(v, 2).H,
     "build_wzl_t": lambda v: build_wzl(4, v).H,
     "check_recursion": lambda v: check_recursion(5, v),
-    "identity": lambda v: BitMatrix.identity(v),
-    "ones_rows": lambda v: BitMatrix.ones(v, 3),
-    "ones_cols": lambda v: BitMatrix.ones(3, v),
-    "zeros_rows": lambda v: BitMatrix.zeros(v, 3),
-    "zeros_cols": lambda v: BitMatrix.zeros(3, v),
-    "row": lambda v: CODE.H.row(v).tolist(),
-    "row_support": lambda v: CODE.H.row_support(v),
-    "column_support": lambda v: CODE.H.column_support(v),
     "RecoveringFamily": lambda v: RecoveringFamily(
         n=v, sets_by_coordinate=((frozenset({2}),), (frozenset({1}),))
     ),
@@ -82,21 +73,3 @@ def test_non_integer_argument_is_invalid(call, value):
 @pytest.mark.parametrize("call", sorted(CALLS))
 def test_numpy_integer_argument_is_accepted(call):
     assert CALLS[call](np.int64(2)) == CALLS[call](2)
-
-
-def test_zeros_shape():
-    assert BitMatrix.zeros(0, 3).rows == 0
-    for rows, cols in ((-1, 3), (2, 0), (2, -1)):
-        with pytest.raises(InvalidParams):
-            BitMatrix.zeros(rows, cols)
-
-
-@pytest.mark.parametrize(
-    "call, index",
-    [("row", -1), ("row", 4), ("row_support", -1), ("row_support", 4),
-     ("column_support", -1), ("column_support", 12)],
-)
-def test_bitmatrix_index_out_of_range(call, index):
-    # xlrc(2,2,1) has 4 rows and 12 columns; a negative index does not wrap.
-    with pytest.raises(InvalidParams, match="out of range"):
-        CALLS[call](index)

@@ -342,6 +342,8 @@ def test_kernel_memory_stays_below_one_dense_word_array():
     # for a quarter of the jobs. The kernel solves one job at a time and
     # returns only their helper columns, so apart from those its peak stays
     # below two copies of H (425 KiB), for a quarter of the jobs as for all.
+    # The record it reads, rref(H) and its packed columns, stays below that
+    # too: it keeps no k x n nullspace basis (1,547 KiB here).
     code = build_xlrc(7, 4, 3)
     jobs = [
         (i, [e - 1 for e in s])
@@ -349,7 +351,14 @@ def test_kernel_memory_stays_below_one_dense_word_array():
         for s in sets
     ]
     h = code.H
-    gf2._record(h)
+    gf2._record.cache_clear()
+    tracemalloc.start()
+    try:
+        gf2._record(h)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 2 * h.rows * h.cols
     for count in (len(jobs) // 4, len(jobs)):
         tracemalloc.start()
         try:

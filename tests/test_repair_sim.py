@@ -12,6 +12,7 @@ from lrckit import (
     build_xlrc,
     canonical_family,
     discover_family,
+    nullspace_basis,
     rank,
     recovery_parity_word,
     simulate_repair,
@@ -37,6 +38,17 @@ def test_systematic_encode_zero_and_parity():
     # [1 1 1]: pivot is column 1, message fills columns 2 and 3
     word = systematic_encode(BitMatrix([[1, 1, 1]]), np.array([1, 0], dtype=np.uint8))
     assert tuple(map(int, word)) == (1, 1, 0)
+    # A full-rank H (k = 0) encodes the empty message to the zero word. On a
+    # row-mixed xlrc(7,4,3), n = 1,320, rref(H) is far from H. Each word is
+    # the message times the nullspace basis and passes every check of H.
+    full_rank = BitMatrix([[1, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1], [0, 0, 0, 1]])
+    mixed, _ = _presented(build_xlrc(7, 4, 3), seed=53)
+    message = np.random.default_rng(53).integers(0, 2, size=mixed.cols - rank(mixed))
+    for h, m in ((full_rank, np.zeros(0, dtype=np.uint8)), (mixed, message.astype(np.uint8))):
+        word = systematic_encode(h, m)
+        basis = nullspace_basis(h).array.astype(np.int64)
+        assert np.array_equal(word, (m.astype(np.int64) @ basis) % 2)
+        assert not fails_parity_by_product(h, word)
 
 
 def test_systematic_encode_wide_code():
@@ -226,11 +238,12 @@ def _presented(code, seed):
     perm = rng.permutation(n)
     h = BitMatrix((((lower @ upper) & 1) @ code.H.array[:, perm]) & 1)
     new_of_old = np.argsort(perm)
+    canonical = canonical_family(code).sets_by_coordinate
     family = RecoveringFamily(
         n=n,
         sets_by_coordinate=tuple(
             tuple(frozenset(int(new_of_old[e - 1]) + 1 for e in s) for s in sets)
-            for sets in (canonical_family(code).sets_by_coordinate[old] for old in perm)
+            for sets in (canonical[old] for old in perm)
         ),
     )
     return h, family
@@ -427,7 +440,7 @@ def test_encode_eliminates_once_per_matrix(monkeypatch):
     # The cached record is read-only and matches the column-loop oracle,
     # and both caches that repair reads are bounded.
     record = gf2._record(h)
-    for array in (record.reduced, record.basis, record.columns):
+    for array in (record.reduced, record.columns):
         with pytest.raises(ValueError):
             array[0, 0] = 1
     reduced, pivots = rref_by_column_loop(h.array)
@@ -479,7 +492,7 @@ def test_packed_parity_test_matches_product(rows):
 
 def test_matrix_without_rows_names_coordinate_one():
     n = 4
-    h = BitMatrix.zeros(0, n)
+    h = BitMatrix(np.zeros((0, n), dtype=np.uint8))
     family = RecoveringFamily(
         n=n, sets_by_coordinate=tuple((frozenset({i % n + 1}),) for i in range(1, n + 1))
     )

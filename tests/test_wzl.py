@@ -1,6 +1,7 @@
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 
 from lrckit import (
@@ -44,9 +45,9 @@ def test_complement_is_an_involution():
 
 def test_degenerate_shapes():
     allones_row = build_wzl(5, 1)
-    assert allones_row.H == BitMatrix.ones(1, 5)
+    assert allones_row.H == BitMatrix(np.ones((1, 5), dtype=np.uint8))
     tall = build_wzl(4, 4)
-    assert tall.H == BitMatrix.ones(4, 1)
+    assert tall.H == BitMatrix(np.ones((4, 1), dtype=np.uint8))
 
 
 def test_rejects_bad_parameters():
