@@ -10,14 +10,15 @@ realizing-word table, built by the first repair or ``verify_family`` with
 one call of the parity-word kernel ``gf2._parity_words``, holds each set's
 helpers as one flat column array with offsets, each coordinate's helper
 loads, the shared (helper, bit) pairs and the sets that admit no parity
-word. So an encode is one product with rref(H)'s free columns, and a
-repair costs its input checks, one packed parity test and one gather of the
-helper bits.
+word. So an encode is one product with rref(H)'s free columns. The parity
+verdict of the last (matrix, codeword) is kept: each distinct codeword is
+checked once, and a coordinate-major loop over many codewords misses it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -27,6 +28,7 @@ from .gf2 import BitMatrix, _as_matrix, _binary, _record
 from .verifier import RecoveringFamily, _realizing_helpers
 
 __all__ = ["RepairTrace", "systematic_encode", "simulate_repair"]
+_NOT_BITS = "codeword entries must be 0 or 1"
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,6 +51,13 @@ def _fails_checks(h: BitMatrix, cw: np.ndarray) -> bool:
     XOR of rref(H)'s packed columns at the ones of ``cw`` is its syndrome."""
     ones = _record(h).columns[cw.view(bool)]
     return bool(np.bitwise_xor.reduce(ones).any())
+
+
+@lru_cache(maxsize=1)
+def _is_codeword(h: BitMatrix, word: bytes) -> bool:
+    """Whether the uint8 vector with bytes ``word`` is all bits and passes H's checks."""
+    cw = _binary(np.frombuffer(word, np.uint8), InvalidCodeword, _NOT_BITS)
+    return not _fails_checks(h, cw)
 
 
 def systematic_encode(h: BitMatrix | np.ndarray, message: Sequence[int]) -> np.ndarray:
@@ -75,7 +84,7 @@ def systematic_encode(h: BitMatrix | np.ndarray, message: Sequence[int]) -> np.n
 
 
 def simulate_repair(
-    h: BitMatrix,
+    h: BitMatrix | np.ndarray,
     family: RecoveringFamily,
     codeword: Sequence[int],
     erased: int,
@@ -86,6 +95,7 @@ def simulate_repair(
     InvalidParams when the family does not match the matrix. After the
     checks, one gather reads every helper bit of the coordinate's sets.
     """
+    h = _as_matrix(h)
     if family.n != h.cols:
         raise InvalidParams("family length does not match matrix columns")
     erased = _integer(erased, "erased")
@@ -94,8 +104,9 @@ def simulate_repair(
     cw = np.asarray(codeword)
     if cw.ndim != 1 or cw.shape[0] != h.cols:
         raise InvalidParams(f"codeword must have length {h.cols}")
-    cw = _binary(cw, InvalidCodeword, "codeword entries must be 0 or 1")
-    if _fails_checks(h, cw):
+    if cw.dtype != np.uint8:
+        cw = _binary(cw, InvalidCodeword, _NOT_BITS)
+    if not _is_codeword(h, cw.tobytes()):
         raise InvalidCodeword("vector fails the parity checks")
     table = _realizing_helpers(h, family)
     if table.unrealized:

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import DimensionTooLarge, FamilyNotFound, InvalidParams, _integer
 from .gf2 import (
     BitMatrix,
+    _as_matrix,
     _pack_rows,
     _parity_words,
     _record,
@@ -170,13 +171,14 @@ def _candidate_table(
 
 
 def candidate_sets(
-    h: BitMatrix, i: int, r: int, mode: str = ROWS_ONLY
+    h: BitMatrix | np.ndarray, i: int, r: int, mode: str = ROWS_ONLY
 ) -> tuple[frozenset[int], ...]:
     """Candidate recovering sets for 1-based coordinate i: supports of dual
     words of weight <= r + 1 containing i, minus i itself. Deduplicated and
     sorted lexicographically. With the same ``mode`` this is row i of the
     table discover_family searches; note that the defaults differ
     (rows-only here, AUTO there). AUTO resolves as in resolve_search_mode."""
+    h = _as_matrix(h)
     if not 1 <= _integer(i, "i") <= h.cols:
         raise InvalidParams(f"coordinate {i} out of range 1..{h.cols}")
     return _candidate_table(h, r, resolve_search_mode(h, mode))[i - 1]
@@ -193,7 +195,7 @@ def resolve_search_mode(h: BitMatrix, mode: str) -> str:
 
 
 def discover_family(
-    h: BitMatrix, r: int, t: int, x: int, mode: str = AUTO
+    h: BitMatrix | np.ndarray, r: int, t: int, x: int, mode: str = AUTO
 ) -> RecoveringFamily:
     """Search a recovering-set family with parameters (r, t, x).
 
@@ -202,6 +204,7 @@ def discover_family(
     can see. A candidate may repeat when its self-intersection obeys x.
     Raises FamilyNotFound (with the exhaustiveness of the search) on failure.
     """
+    h = _as_matrix(h)
     if _integer(t, "t") < 1 or _integer(x, "x") < 0:
         raise InvalidParams("availability must be positive and overlap nonnegative")
     resolved = resolve_search_mode(h, mode)
@@ -296,7 +299,7 @@ def _realizing_helpers(h: BitMatrix, family: RecoveringFamily) -> _Realized:
 
 
 def verify_family(
-    h: BitMatrix,
+    h: BitMatrix | np.ndarray,
     family: RecoveringFamily,
     r: int,
     t: int,
@@ -318,6 +321,7 @@ def verify_family(
     no codeword is enumerated. Failures are data, not errors; r, t and x
     must be integers, but a value out of range is a failure.
     """
+    h = _as_matrix(h)
     if family.n != h.cols:
         raise InvalidParams("family length does not match matrix columns")
     r, t, x = _integer(r, "r"), _integer(t, "t"), _integer(x, "x")

@@ -10,6 +10,7 @@ from lrckit import (
     RecoveringFamily,
     build_wzl,
     build_xlrc,
+    candidate_sets,
     canonical_family,
     discover_family,
     nullspace_basis,
@@ -371,20 +372,22 @@ def test_repair_errors_match_parity_word_oracle():
     assert [i for i, text in report.failures if "admits no parity word" in text] == [7, 12]
 
 
+def _count(monkeypatch, calls, module, name, key):
+    """Count the calls of ``module.name`` under ``calls[key]``."""
+    fn = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls[key] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
 def _counting(monkeypatch):
     """Count calls of the parity-word kernel and _rref."""
     calls = Counter()
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    kernel = counted("kernel", verifier._parity_words)
-    monkeypatch.setattr(verifier, "_parity_words", kernel)
-    monkeypatch.setattr(gf2, "_rref", counted("rref", gf2._rref))
+    _count(monkeypatch, calls, verifier, "_parity_words", "kernel")
+    _count(monkeypatch, calls, gf2, "_rref", "rref")
     return calls
 
 
@@ -448,6 +451,7 @@ def test_encode_eliminates_once_per_matrix(monkeypatch):
     assert np.array_equal(record.reduced, reduced)
     assert gf2._record.cache_info().maxsize == 64
     assert verifier._realizing_helpers.cache_info().maxsize == 64
+    assert repair_sim._is_codeword.cache_info().maxsize == 1
 
 
 def test_workflow_eliminates_each_matrix_once(monkeypatch):
@@ -527,6 +531,11 @@ def test_codeword_forms_give_identical_traces():
             _same_trace(simulate_repair(h, family, form, i), want)
     flipped = word.copy()
     flipped[0] ^= 1
+    # Each form repairs alike when the verdict before it is a refusal.
+    for form in forms:
+        with pytest.raises(InvalidCodeword, match="parity"):
+            simulate_repair(h, family, flipped, h.cols)
+        _same_trace(simulate_repair(h, family, form, h.cols), want)
     twos = np.where(word == 1, 2, 0).astype(np.uint8)
     not_bits, parity = "codeword entries must be 0 or 1", "vector fails the parity checks"
     bad = [
@@ -567,3 +576,104 @@ def test_set_whose_word_reads_no_helper():
             len(r) for i in (2, 3, 4) for r in simulate_repair(h, family, word, i).recoveries
         ]
         assert reads == [1, 0, 0, 0, 1]
+
+
+def _refused(h, family, cw, text):
+    with pytest.raises(InvalidCodeword) as info:
+        simulate_repair(h, family, cw, 1)
+    assert str(info.value) == text
+
+
+def test_kept_verdict_answers_only_its_matrix_and_bytes():
+    # Each refusal follows a repair of a valid word on the same matrix, so
+    # the verdict kept for that word is the one a wrong key would return.
+    code = build_xlrc(2, 3, 1)
+    h, family = _presented(code, seed=47)
+    other, other_family = _presented(code, seed=51)
+    messages = np.random.default_rng(52).integers(0, 2, size=(2, code.params.k))
+    word = systematic_encode(h, messages[0])
+    not_bits, parity = "codeword entries must be 0 or 1", "vector fails the parity checks"
+    want = repair_trace_by_parity_word(h, family, word, 1)
+
+    # The same array, changed in place after its repair.
+    mutated = word.copy()
+    simulate_repair(h, family, mutated, 1)
+    mutated[4] ^= 1
+    _refused(h, family, mutated, parity)
+    mutated[4] ^= 1
+    _same_trace(simulate_repair(h, family, mutated, 1), want)
+
+    # The same bytes on another matrix of the same width that they fail,
+    # and that matrix's codeword back on the first.
+    assert fails_parity_by_product(other, word)
+    simulate_repair(h, family, word, 1)
+    _refused(other, other_family, word, parity)
+    theirs = systematic_encode(other, messages[1])
+    assert fails_parity_by_product(h, theirs)
+    simulate_repair(other, other_family, theirs, 1)
+    _refused(h, family, theirs, parity)
+
+    # A uint8 word holding a 2, twice: a non-bit entry is never cached.
+    twos = word.copy()
+    twos[np.flatnonzero(word)[0]] = 2
+    for _ in range(2):
+        simulate_repair(h, family, word, 1)
+        _refused(h, family, twos, not_bits)
+        _refused(h, family, twos, not_bits)
+
+    # bad, good, bad: raises, returns, raises, in each form of the word.
+    flipped = word.copy()
+    flipped[0] ^= 1
+    for form in (np.asarray, lambda w: w.astype(bool), lambda w: w.astype(float), list):
+        simulate_repair(h, family, word, 1)
+        _refused(h, family, form(flipped), parity)
+        _same_trace(simulate_repair(h, family, form(word), 1), want)
+        _refused(h, family, form(flipped), parity)
+        _refused(h, family, form(flipped), parity)
+
+
+def test_codeword_checked_once_per_codeword(monkeypatch):
+    # A codeword-major sweep checks each codeword once; a coordinate-major
+    # loop over the same words changes codeword on every call and checks
+    # each time.
+    code = build_xlrc(2, 3, 1)
+    h, family = _presented(code, seed=49)
+    messages = np.eye(3, code.params.k, dtype=np.uint8)
+    words = [systematic_encode(h, m) for m in messages]
+    assert len({w.tobytes() for w in words}) == 3
+    calls = Counter()
+    _count(monkeypatch, calls, repair_sim, "_fails_checks", "checks")
+    repair_sim._is_codeword.cache_clear()
+    for word in words:
+        for i in range(1, h.cols + 1):
+            simulate_repair(h, family, word, i)
+    assert calls == {"checks": 3}
+    calls.clear()
+    for i in range(1, h.cols + 1):
+        for word in words:
+            simulate_repair(h, family, word, i)
+    assert calls == {"checks": 3 * h.cols}
+
+
+def _trace_tuple(trace):
+    return trace.erased, trace.recoveries, trace.recovered_values, trace.helper_load
+
+
+_RTX12 = (_CODE12.params.r, _CODE12.params.t, _CODE12.params.x)
+_WORD12 = systematic_encode(_CODE12.H, np.ones(9, dtype=np.uint8))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda h: _trace_tuple(simulate_repair(h, _FAMILY12, _WORD12, 3)),
+        lambda h: verify_family(h, _FAMILY12, *_RTX12, deep=True),
+        lambda h: discover_family(h, *_RTX12),
+        lambda h: candidate_sets(h, 3, _RTX12[0], AUTO),
+    ],
+    ids=["simulate_repair", "verify_family", "discover_family", "candidate_sets"],
+)
+def test_plain_array_matrix_gives_the_same_answer(call):
+    h = _CODE12.H
+    assert call(np.array(h.array)) == call(h)
+    assert call(h.array.tolist()) == call(h)
