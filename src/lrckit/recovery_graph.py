@@ -9,7 +9,9 @@ ranking, hence never cycle.
 
 One numpy kernel applies the rule to a block of rankings at once, for a single
 coloring and for Monte Carlo; the exact expectation and the structural sweep
-walk no rankings. Monte Carlo trial k ranks the vertices by
+walk no rankings. The kernel takes the maximum rank of each distinct closure
+S + {v} once (see _colors); the walk check reads the members, not those
+maxima. Monte Carlo trial k ranks the vertices by
 ``default_rng((seed, k)).permutation(n)``, as ``trial_permutation`` does.
 Trials are seeded in blocks: numpy's SeedSequence mix and PCG64 seeding step
 are fixed integer algorithms, so the PCG64 state of every trial in a block is
@@ -23,7 +25,7 @@ size.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -95,24 +97,35 @@ def build_graph(family: RecoveringFamily) -> RecoveryGraph:
 _BLOCK_ENTRIES = 2**13
 
 
-@lru_cache(maxsize=64)
-def _member_table(family: RecoveringFamily) -> np.ndarray:
-    """(n, t, s) array of 0-based members per vertex and color, read-only
-    and built once for each of the last 64 families.
+_Table = namedtuple("_Table", "members closures which")
 
-    Short sets are padded with n, a member that always ranks below; missing
-    colors are filled with n + 1, a member that never does (see _extend).
-    """
+
+@lru_cache(maxsize=64)
+def _member_table(family: RecoveringFamily) -> _Table:
+    """A family's read-only coloring arrays, built once for each of the last
+    64 families: ``members`` (n, t, s), the 0-based members per vertex and
+    color; ``closures``, each distinct S + {v} once, a row per closure;
+    ``which`` (n, t), each set's closure row. Rows are padded with n, a
+    member of rank 0 (see _extend); a missing color points at the all-pad
+    row, whose maximum is no vertex's rank."""
     n = family.n
     t = max(1, max(len(sets) for sets in family.sets_by_coordinate))
     s = max([1] + [len(m) for sets in family.sets_by_coordinate for m in sets])
-    table = np.full((n, t, s), n + 1, dtype=np.intp)
+    members = np.full((n, t, s), n, dtype=np.intp)
+    which = np.empty((n, t), dtype=np.intp)
+    rows: dict[tuple[int, ...], int] = {}
     for v0, sets in enumerate(family.sets_by_coordinate):
-        for l0, members in enumerate(sets):
-            table[v0, l0] = n
-            table[v0, l0, : len(members)] = sorted(e - 1 for e in members)
-    table.setflags(write=False)
-    return table
+        for l0 in range(t):
+            m = sorted(e - 1 for e in sets[l0]) if l0 < len(sets) else []
+            members[v0, l0, : len(m)] = m
+            closure = tuple(sorted(m + [v0])) if m else ()
+            which[v0, l0] = rows.setdefault(closure, len(rows))
+    closures = np.full((len(rows), s + 1), n, dtype=np.intp)
+    for closure, row in rows.items():
+        closures[row, : len(closure)] = closure
+    for array in (members, closures, which):
+        array.setflags(write=False)
+    return _Table(members=members, closures=closures, which=which)
 
 
 # numpy's SeedSequence constants (NEP 19, after O'Neill's seed_seq_fe) and
@@ -128,42 +141,48 @@ _MASK128 = 2**128 - 1
 
 
 def _extend(ranks: np.ndarray) -> np.ndarray:
-    """Ranks with the two pad members appended: rank 0 at column n and
-    rank n + 1 at column n + 1. Held as int32 to halve the gathered blocks."""
+    """Ranks with the pad member appended: rank 0 at column n. Held as int32
+    to halve the gathered blocks."""
     rows, n = ranks.shape
-    ext = np.zeros((rows, n + 2), dtype=np.int32)
+    ext = np.zeros((rows, n + 1), dtype=np.int32)
     ext[:, :n] = ranks
-    ext[:, n + 1] = n + 1
     return ext
 
 
-def _colors(table: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+def _colors(table: _Table, ranks: np.ndarray) -> np.ndarray:
     """Colors of a (rows, n) block of ranks: vertex v takes the smallest
-    color l (1-based) whose whole l-th set ranks strictly below v, or 0."""
+    color l (1-based) whose whole l-th set S ranks strictly below v, or 0.
+    Ranks are distinct and v is not in S, so that holds iff v ranks highest
+    in S + {v}: each distinct closure's maximum is taken once, by columns."""
     ext = _extend(ranks)
-    highest = ext[:, table[..., 0]]
-    for j in range(1, table.shape[2]):
-        np.maximum(highest, ext[:, table[..., j]], out=highest)
-    below = highest < ranks[:, :, None]
-    return np.where(below.any(axis=2), below.argmax(axis=2) + 1, 0)
+    highest = ext[:, table.closures[:, 0]]
+    for column in table.closures.T[1:]:
+        np.maximum(highest, ext[:, column], out=highest)
+    colors = np.zeros(ranks.shape, dtype=np.intp)
+    for l in range(table.which.shape[1], 0, -1):
+        colors[highest[:, table.which[:, l - 1]] == ext[:, :-1]] = l
+    return colors
 
 
-def _walks_descend(
-    table: np.ndarray, ranks: np.ndarray, colors: np.ndarray
-) -> np.ndarray:
+def _walks_descend(table: _Table, ranks: np.ndarray, colors: np.ndarray) -> np.ndarray:
     """Per row: whether every colored vertex outranks each member of its
     own-color set. Walks along own-color edges then strictly descend the
-    ranking, so they cannot cycle. The own-color sets are gathered one
-    member column at a time, so each temporary holds one entry per rank."""
+    ranking, so they cannot cycle. Reads the member table, not the closures,
+    so it checks the coloring independently; only the colored (row, vertex)
+    pairs are gathered, one member column at a time."""
     rows, n = ranks.shape
     flat = _extend(ranks).ravel()
-    # (vertex, own color) as an index into a member column raveled to n * t
-    own = np.arange(n) * table.shape[1] + np.maximum(colors, 1) - 1
-    offsets = (np.arange(rows) * (n + 2))[:, None]
-    highest = flat[table[..., 0].ravel()[own] + offsets]
-    for j in range(1, table.shape[2]):
-        np.maximum(highest, flat[table[..., j].ravel()[own] + offsets], out=highest)
-    return ((highest < ranks) | (colors == 0)).all(axis=1)
+    pair = np.flatnonzero(colors != 0)
+    row = pair // n
+    offsets = row * (n + 1)
+    # (vertex, own color) as an index into the n * t sets
+    own = (pair - row * n) * table.members.shape[1] + colors.ravel()[pair] - 1
+    by_column = table.members.reshape(-1, table.members.shape[2]).T
+    highest = flat[by_column[0][own] + offsets]
+    for column in by_column[1:]:
+        np.maximum(highest, flat[column[own] + offsets], out=highest)
+    broken = row[highest >= flat[pair + row]]
+    return np.bincount(broken, minlength=rows) == 0
 
 
 def color_vertices(
@@ -214,15 +233,15 @@ def structural_sweep(family: RecoveringFamily, outcome: ColoringOutcome) -> bool
     """
     if len(outcome.colors) != family.n:
         raise InvalidParams("outcome and family disagree on n")
-    table = _member_table(family)
-    # Pads n (short sets) and n + 1 (missing sets) are never left.
-    left = np.zeros(family.n + 2, dtype=bool)
+    members = _member_table(family).members
+    # The pad n (short and missing sets) is never left.
+    left = np.zeros(family.n + 1, dtype=bool)
     left[[v - 1 for v in outcome.colored]] = True
     while True:
-        keep = left[table].any(axis=2).all(axis=1) & left[:-2]
-        if np.array_equal(keep, left[:-2]):
+        keep = left[members].any(axis=2).all(axis=1) & left[:-1]
+        if np.array_equal(keep, left[:-1]):
             return not keep.any()
-        left[:-2] = keep
+        left[:-1] = keep
 
 
 def _natural(value, name: str) -> int:

@@ -93,7 +93,9 @@ def simulate_repair(
 
     Raises InvalidCodeword when the input fails the parity checks, and
     InvalidParams when the family does not match the matrix. After the
-    checks, one gather reads every helper bit of the coordinate's sets.
+    checks, one gather reads every helper bit of the coordinate's sets. A
+    plain-array H is wrapped anew on each call (a copy, a bit check and a
+    hash), about doubling the cost at n = 224: repeat callers pass a BitMatrix.
     """
     h = _as_matrix(h)
     if family.n != h.cols:

@@ -177,7 +177,9 @@ def candidate_sets(
     words of weight <= r + 1 containing i, minus i itself. Deduplicated and
     sorted lexicographically. With the same ``mode`` this is row i of the
     table discover_family searches; note that the defaults differ
-    (rows-only here, AUTO there). AUTO resolves as in resolve_search_mode."""
+    (rows-only here, AUTO there). AUTO resolves as in resolve_search_mode.
+    A plain-array H is wrapped anew on each call (a copy, a bit check and a
+    hash); repeat callers pass a BitMatrix."""
     h = _as_matrix(h)
     if not 1 <= _integer(i, "i") <= h.cols:
         raise InvalidParams(f"coordinate {i} out of range 1..{h.cols}")
@@ -203,6 +205,8 @@ def discover_family(
     order, so the result is the lexicographically smallest family the mode
     can see. A candidate may repeat when its self-intersection obeys x.
     Raises FamilyNotFound (with the exhaustiveness of the search) on failure.
+    A plain-array H is wrapped anew on each call (a copy, a bit check and a
+    hash); repeat callers pass a BitMatrix.
     """
     h = _as_matrix(h)
     if _integer(t, "t") < 1 or _integer(x, "x") < 0:
@@ -319,7 +323,9 @@ def verify_family(
     ``deep``. ``deep`` only sets ``deep_checked``, when the dimension is at
     most DEEP_CHECK_DIM_CAP: the separation verdict is that same list, and
     no codeword is enumerated. Failures are data, not errors; r, t and x
-    must be integers, but a value out of range is a failure.
+    must be integers, but a value out of range is a failure. A plain-array H
+    is wrapped anew on each call (a copy, a bit check and a hash); repeat
+    callers pass a BitMatrix.
     """
     h = _as_matrix(h)
     if family.n != h.cols:

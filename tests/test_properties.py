@@ -1,11 +1,18 @@
-"""Property tests: repair, which keeps the parity verdict of the last
-codeword it saw, against the oracle that checks every call from scratch.
+"""Property tests against the oracles.
 
-Each example draws two small matrices of one width and replays an
-interleaved sequence of repairs on them. Between repairs the one codeword
-array is re-encoded, flipped in place, given a non-bit entry or passed on
-unchanged, and each call hands it over in one of several forms. Every
-result, trace or error, must equal the oracle's.
+Repair, which keeps the parity verdict of the last codeword it saw, against
+the oracle that checks every call from scratch. Each example draws two small
+matrices of one width and replays an interleaved sequence of repairs on
+them. Between repairs the one codeword array is re-encoded, flipped in
+place, given a non-bit entry or passed on unchanged, and each call hands it
+over in one of several forms. Every result, trace or error, must equal the
+oracle's.
+
+Coloring, which takes the maximum rank of each distinct closure S + {v}
+once, against the rule read literally, and the walk check against a DFS
+over the colored own-color edges. Each example draws a family mixing
+groups G with sets G - {v} (closures shared across vertices), free random
+sets, repeated sets, one-member sets and vertices with no sets.
 """
 
 import numpy as np
@@ -17,11 +24,20 @@ from lrckit import (
     InvalidCodeword,
     InvalidParams,
     RecoveringFamily,
+    build_graph,
+    color_vertices,
     rank,
     simulate_repair,
     systematic_encode,
 )
-from oracles import parity_words_by_set, repair_trace_by_parity_word
+from lrckit.recovery_graph import _colors, _member_table, _walks_descend
+from oracles import (
+    colors_by_rule,
+    members_by_color,
+    mono_walks_acyclic,
+    parity_words_by_set,
+    repair_trace_by_parity_word,
+)
 
 MAX_COLS = 70
 
@@ -111,3 +127,55 @@ def test_repair_matches_uncached_oracle(scenario):
             lambda: repair_trace_by_parity_word(h, family, passed, erased, words[m])
         )
         assert got == want
+
+
+@st.composite
+def colorings(draw):
+    """A family on 2 to 16 vertices, a few rankings, and per ranking a
+    coloring that may break the rule: each vertex gets 0 or one of its
+    colors."""
+    n = draw(st.integers(2, 16))
+    vertex = st.integers(1, n)
+    sets: list[list[frozenset[int]]] = [[] for _ in range(n)]
+
+    def add(v, s):
+        sets[v - 1].insert(draw(st.integers(0, len(sets[v - 1]))), frozenset(s))
+
+    for group in draw(st.lists(st.sets(vertex, min_size=2), max_size=3)):
+        for v in sorted(group):
+            add(v, group - {v})
+    for v, members in draw(st.lists(st.tuples(vertex, st.sets(vertex, min_size=1)), max_size=n)):
+        if members - {v}:
+            add(v, members - {v})
+    for v in draw(st.lists(vertex, max_size=3)):
+        if sets[v - 1]:
+            add(v, draw(st.sampled_from(sets[v - 1])))
+    if not any(sets):
+        add(1, {2})
+    ranks = draw(st.lists(st.permutations(range(1, n + 1)), min_size=1, max_size=4))
+    fake = [[draw(st.integers(0, len(s))) for s in sets] for _ in ranks]
+    family = RecoveringFamily(n=n, sets_by_coordinate=tuple(map(tuple, sets)))
+    return family, np.array(ranks), np.array(fake)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(colorings())
+def test_coloring_matches_rule_and_walks_match_dfs(scenario):
+    family, ranks, fake = scenario
+    graph, table = build_graph(family), _member_table(family)
+    members = members_by_color(family.sets_by_coordinate)
+    colors = _colors(table, ranks)
+    for row, tau in zip(colors, ranks):
+        expected = colors_by_rule(family.sets_by_coordinate, tau)
+        assert row.tolist() == [c or 0 for c in expected]
+        assert list(color_vertices(graph, family, tau).colors) == expected
+    assert _walks_descend(table, ranks, colors).all()
+    # colorings that ignore the rule: the check passes exactly when every
+    # colored vertex outranks its own-color set, and strict descent implies
+    # acyclic walks, so every cyclic coloring fails
+    for row, tau, ok in zip(fake, ranks, _walks_descend(table, ranks, fake)):
+        descends = all(
+            tau[m] < tau[v] for v, c in enumerate(row) if c for m in members[v][c - 1]
+        )
+        assert ok == descends
+        assert mono_walks_acyclic(members, [int(c) or None for c in row]) or not ok

@@ -79,6 +79,22 @@ def _ragged_224() -> RecoveringFamily:
 RAGGED_224 = _ragged_224()
 
 
+def _wide_224() -> RecoveringFamily:
+    """n = 224 with three seeded random 100-member sets per vertex: wide
+    sets and, almost surely, no two sets sharing a closure S + {v}."""
+    rng = np.random.default_rng(47)
+    sets_by_coordinate = []
+    for v in range(1, 225):
+        others = np.array([u for u in range(1, 225) if u != v])
+        sets_by_coordinate.append(
+            tuple(frozenset(rng.choice(others, 100, replace=False).tolist()) for _ in range(3))
+        )
+    return RecoveringFamily(n=224, sets_by_coordinate=tuple(sets_by_coordinate))
+
+
+WIDE_224 = _wide_224()
+
+
 def _small_setup():
     code = build_xlrc(1, 2, 1)
     family = canonical_family(code)
@@ -622,6 +638,22 @@ def test_monte_carlo_memory_is_flat_in_trials():
     assert peaks[1] - peaks[0] < 64 * 2**10, peaks
 
 
+def test_monte_carlo_memory_holds_the_block_promise_on_wide_sets():
+    # each kernel temporary holds at most t entries per rank, also where
+    # every closure S + {v} has 101 members and none is shared
+    graph = build_graph(WIDE_224)
+    monte_carlo_colored_fraction(graph, WIDE_224, 50, 0)
+    assert _member_table(WIDE_224).closures.shape == (672, 101)
+    tracemalloc.start()
+    try:
+        stats = monte_carlo_colored_fraction(graph, WIDE_224, 400, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    assert stats.walk_failures == 0
+
+
 def test_negative_seed_or_trial_is_invalid():
     _, family, graph = _small_setup()
     for seed, trial in ((-1, 0), (0, -1), (-(2**40), 3)):
@@ -665,7 +697,7 @@ def test_member_table_built_once_per_family(family):
     table = _member_table(twin)
     assert _member_table.cache_info().misses == 1
     with pytest.raises(ValueError):
-        table[0, 0, 0] = 0
+        table.members[0, 0, 0] = 0
     # Results match the rule, the subset sweep, and a table built per call.
     mean, stderr = monte_carlo_by_rule(family.sets_by_coordinate, family.n, 300, 4)
     assert (stats.mean.hex(), stats.stderr.hex()) == (mean.hex(), stderr.hex())
@@ -678,3 +710,38 @@ def test_member_table_built_once_per_family(family):
         assert structural_sweep(family, outcome) is swept
     _member_table.cache_clear()
     assert monte_carlo_colored_fraction(graph, family, 300, 4) == stats
+
+
+@pytest.mark.parametrize(
+    "family, distinct",
+    [(canonical_family(build_xlrc(5, 3, 3)), 28), (RAGGED, 10), (RAGGED_224, None)],
+    ids=["n224", "ragged", "ragged224"],
+)
+def test_closure_table_holds_each_closure_once(family, distinct):
+    n, t = family.n, build_graph(family).t
+    counted = {
+        frozenset(s | {v})
+        for v, sets in enumerate(family.sets_by_coordinate, start=1)
+        for s in sets
+    }
+    if distinct is not None:
+        assert len(counted) == distinct
+    table = _member_table(family)
+    closures = [frozenset(row[row < n] + 1) for row in table.closures]
+    # one row per distinct closure, plus the all-pad row for missing colors
+    missing = any(len(sets) < t for sets in family.sets_by_coordinate)
+    assert len(set(closures)) == len(closures) == len(counted) + missing
+    assert set(closures) - counted <= {frozenset()}
+    assert table.members.shape[:2] == table.which.shape == (n, t)
+    for v, sets in enumerate(family.sets_by_coordinate, start=1):
+        for l in range(t):
+            members = table.members[v - 1, l]
+            closure = table.closures[table.which[v - 1, l]]
+            if l < len(sets):
+                assert closures[table.which[v - 1, l]] == sets[l] | {v}
+                assert members[members < n].tolist() == sorted(e - 1 for e in sets[l])
+            else:
+                assert (closure == n).all() and (members == n).all()
+    for array in (table.members, table.closures, table.which):
+        with pytest.raises(ValueError):
+            array[(0,) * array.ndim] = 0
