@@ -253,8 +253,10 @@ class _Realized(NamedTuple):
     set that admits no parity word holds none. Which word a set with several
     gets depends on the code, not on the rows of H. ``cuts[i]`` lists where
     each set of coordinate i + 1 starts in ``columns``, then where its last
-    set ends. ``loads[i]`` maps each helper of coordinate i + 1, ascending,
-    to how many of its sets read it; a repair trace gets a copy.
+    set ends. ``spans`` is the cuts as one array, each row padded with its
+    last cut (a set that reads nothing). ``loads[i]`` maps each helper of
+    coordinate i + 1, ascending, to how many of its sets read it; a repair
+    trace gets a copy.
     ``pairs[2 * c + b]`` is the (helper, bit) pair ``(c + 1, b)``, an object
     array whose tuples every repair trace shares. ``unrealized`` lists the
     1-based (coordinate, set) pairs that admit no parity word, in order.
@@ -262,6 +264,7 @@ class _Realized(NamedTuple):
 
     columns: np.ndarray
     cuts: tuple[tuple[int, ...], ...]
+    spans: np.ndarray
     loads: tuple[dict[int, int], ...]
     pairs: np.ndarray
     unrealized: tuple[tuple[int, int], ...]
@@ -299,7 +302,10 @@ def _realizing_helpers(h: BitMatrix, family: RecoveringFamily) -> _Realized:
     for p in range(pairs.size):
         pairs[p] = (p // 2 + 1, p % 2)
     pairs.setflags(write=False)
-    return _Realized(columns, tuple(cuts), tuple(loads), pairs, tuple(unrealized))
+    width = max(map(len, cuts))
+    spans = np.array([c + c[-1:] * (width - len(c)) for c in cuts], dtype=np.intp)
+    spans.setflags(write=False)
+    return _Realized(columns, tuple(cuts), spans, tuple(loads), pairs, tuple(unrealized))
 
 
 def verify_family(

@@ -1,12 +1,18 @@
 """Property tests against the oracles.
 
-Repair, which keeps the parity verdict of the last codeword it saw, against
-the oracle that checks every call from scratch. Each example draws two small
-matrices of one width and replays an interleaved sequence of repairs on
-them. Between repairs the one codeword array is re-encoded, flipped in
-place, given a non-bit entry or passed on unchanged, and each call hands it
-over in one of several forms. Every result, trace or error, must equal the
-oracle's.
+Repair, which keeps the last (matrix, family, codeword) it saw swept at
+every coordinate, against the oracle that checks every call from scratch.
+Each example draws two small matrices of one width, each with a family and
+that family with each coordinate's sets reversed, and replays an
+interleaved sequence of repairs on them. Between repairs the one codeword
+array is re-encoded, flipped in place, given a non-bit entry or passed on
+unchanged, and each call hands it over in one of several forms. Every
+result, trace or error, must equal the oracle's.
+
+Encoding and the packed parity test against the syndrome product, on
+matrices with duplicate and zero rows: every encoded word passes, its
+message sits at the free columns, and each flipped word fails exactly when
+the product says so.
 
 Coloring, which takes the maximum rank of each distinct closure S + {v}
 once, against the rule read literally, and the walk check against a DFS
@@ -31,12 +37,15 @@ from lrckit import (
     systematic_encode,
 )
 from lrckit.recovery_graph import _colors, _member_table, _walks_descend
+from lrckit.repair_sim import _fails_checks
 from oracles import (
     colors_by_rule,
+    fails_parity_by_product,
     members_by_color,
     mono_walks_acyclic,
     parity_words_by_set,
     repair_trace_by_parity_word,
+    rref_by_column_loop,
 )
 
 MAX_COLS = 70
@@ -55,16 +64,19 @@ ACTIONS = ("keep", "flip", "encode", "poke")
 
 @st.composite
 def scenarios(draw):
-    """Two matrices of one width, each with a family, an extra (coordinate,
-    set) pair per family that need not admit a parity word, and the steps."""
+    """Two matrices of one width, each with a family and its reverse, an
+    extra (coordinate, set) pair per family that need not admit a parity
+    word, and the steps."""
     n = draw(st.integers(1, MAX_COLS))
     pairs = []
     for _ in range(2):
         rows = draw(st.integers(1, 8))
         h = BitMatrix(draw(arrays(np.uint8, (rows, n), elements=st.integers(0, 1))))
         extra = draw(st.none() | st.tuples(st.integers(1, n), st.sets(st.integers(1, n))))
-        pairs.append((h, _family(h, extra)))
+        family = _family(h, extra)
+        pairs.append((h, (family, _reversed(family))))
     step = st.tuples(
+        st.integers(0, 1),
         st.integers(0, 1),
         st.sampled_from(ACTIONS),
         st.integers(0, MAX_COLS - 1),
@@ -86,6 +98,12 @@ def _family(h, extra):
             sets.append(frozenset(extra[1] - {i}))
         by_coordinate.append(tuple(sets))
     return RecoveringFamily(n=n, sets_by_coordinate=tuple(by_coordinate))
+
+
+def _reversed(family):
+    """The family with each coordinate's sets listed in reverse."""
+    by_coordinate = tuple(sets[::-1] for sets in family.sets_by_coordinate)
+    return RecoveringFamily(n=family.n, sets_by_coordinate=by_coordinate)
 
 
 def _encode(h, bits):
@@ -110,10 +128,10 @@ def _outcome(call):
 @given(scenarios())
 def test_repair_matches_uncached_oracle(scenario):
     pairs, steps = scenario
-    words = [parity_words_by_set(h, family) for h, family in pairs]
+    words = [[parity_words_by_set(h, family) for family in both] for h, both in pairs]
     cw = _encode(pairs[0][0], 1)
-    for m, action, j, form, bits in steps:
-        h, family = pairs[m]
+    for m, f, action, j, form, bits in steps:
+        h, family = pairs[m][0], pairs[m][1][f]
         if action == "flip":
             cw[j % h.cols] ^= 1
         elif action == "encode":
@@ -124,9 +142,43 @@ def test_repair_matches_uncached_oracle(scenario):
         passed = FORMS[form](cw)
         got = _outcome(lambda: simulate_repair(h, family, passed, erased))
         want = _outcome(
-            lambda: repair_trace_by_parity_word(h, family, passed, erased, words[m])
+            lambda: repair_trace_by_parity_word(h, family, passed, erased, words[m][f])
         )
         assert got == want
+
+
+@st.composite
+def encodings(draw):
+    """A matrix of 1 to 8 rows and 1 to MAX_COLS columns, each row drawn,
+    a copy of an earlier row or zero; message bits; columns to flip."""
+    n = draw(st.integers(1, MAX_COLS))
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(("drawn", "copy", "zero")))
+        if kind == "copy" and rows:
+            rows.append(rows[draw(st.integers(0, len(rows) - 1))])
+        elif kind == "zero":
+            rows.append(np.zeros(n, dtype=np.uint8))
+        else:
+            rows.append(draw(arrays(np.uint8, n, elements=st.integers(0, 1))))
+    flips = draw(st.lists(st.integers(0, n - 1), max_size=6))
+    return BitMatrix(np.array(rows)), draw(st.integers(0, 2**n - 1)), flips
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(encodings())
+def test_encode_and_parity_test_match_product(case):
+    h, bits, flips = case
+    _, pivots = rref_by_column_loop(h.array)
+    free = [c for c in range(h.cols) if c not in pivots]
+    message = [(bits >> s) & 1 for s in range(len(free))]
+    word = systematic_encode(h, message)
+    assert word[free].tolist() == message
+    assert not fails_parity_by_product(h, word)
+    assert not _fails_checks(h, word)
+    for j in flips:
+        word[j] ^= 1
+        assert _fails_checks(h, word) == fails_parity_by_product(h, word)
 
 
 @st.composite

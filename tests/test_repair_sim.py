@@ -451,7 +451,7 @@ def test_encode_eliminates_once_per_matrix(monkeypatch):
     assert np.array_equal(record.reduced, reduced)
     assert gf2._record.cache_info().maxsize == 64
     assert verifier._realizing_helpers.cache_info().maxsize == 64
-    assert repair_sim._is_codeword.cache_info().maxsize == 1
+    assert repair_sim._swept.cache_info().maxsize == 1
 
 
 def test_workflow_eliminates_each_matrix_once(monkeypatch):
@@ -578,6 +578,56 @@ def test_set_whose_word_reads_no_helper():
         assert reads == [1, 0, 0, 0, 1]
 
 
+@pytest.mark.parametrize("mirror", [False, True], ids=["unit-row-last", "unit-row-first"])
+def test_sets_without_helpers_recover_zero(mirror):
+    # Row 1 of H is the unit word at coordinate 4, so c_4 = 0 on every
+    # codeword, and that word realizes both sets of coordinate 4, which read
+    # no helper. Those empty sets come after the last helper read, which is
+    # coordinate 3's. The mirror reverses the columns: the unit row is at
+    # column 1, and coordinate 1's empty sets come before the first read.
+    rows = [[0, 0, 0, 1], [1, 1, 1, 0]]
+    sets = [({2, 3},), ({1, 3},), ({1, 2},), ({2}, {1, 3})]
+    empty = 4
+    if mirror:
+        rows = [row[::-1] for row in rows]
+        sets = [tuple({5 - e for e in s} for s in c) for c in sets[::-1]]
+        empty = 1
+    h = BitMatrix(rows)
+    family = RecoveringFamily(n=4, sets_by_coordinate=sets)
+    words = parity_words_by_set(h, family)
+    for message in ([0, 0], [1, 0], [0, 1], [1, 1]):
+        word = systematic_encode(h, message)
+        for i in range(1, 5):
+            trace = simulate_repair(h, family, word, i)
+            _same_trace(trace, repair_trace_by_parity_word(h, family, word, i, words))
+            assert all(type(v) is int for v in trace.recovered_values)
+        trace = simulate_repair(h, family, word, empty)
+        assert (trace.recoveries, trace.recovered_values) == (((), ()), (0, 0))
+
+
+def test_kept_sweep_follows_its_family():
+    # Two families on one matrix and one codeword array, alternated
+    # coordinate by coordinate. The second lists each coordinate's sets in
+    # reverse, so a sweep kept for one family gives the other's traces in
+    # the wrong order.
+    code = build_xlrc(2, 3, 1)
+    h, family = _presented(code, seed=53)
+    reverse = RecoveringFamily(
+        n=family.n, sets_by_coordinate=tuple(sets[::-1] for sets in family.sets_by_coordinate)
+    )
+    words = {f: parity_words_by_set(h, f) for f in (family, reverse)}
+    rng = np.random.default_rng(54)
+    word = systematic_encode(h, rng.integers(0, 2, size=code.params.k, dtype=np.uint8))
+    differ = 0
+    for i in range(1, h.cols + 1):
+        traces = []
+        for f in (family, reverse):
+            traces.append(simulate_repair(h, f, word, i))
+            _same_trace(traces[-1], repair_trace_by_parity_word(h, f, word, i, words[f]))
+        differ += traces[0].recoveries != traces[1].recoveries
+    assert differ == h.cols
+
+
 def _refused(h, family, cw, text):
     with pytest.raises(InvalidCodeword) as info:
         simulate_repair(h, family, cw, 1)
@@ -643,7 +693,7 @@ def test_codeword_checked_once_per_codeword(monkeypatch):
     assert len({w.tobytes() for w in words}) == 3
     calls = Counter()
     _count(monkeypatch, calls, repair_sim, "_fails_checks", "checks")
-    repair_sim._is_codeword.cache_clear()
+    repair_sim._swept.cache_clear()
     for word in words:
         for i in range(1, h.cols + 1):
             simulate_repair(h, family, word, i)
