@@ -275,31 +275,32 @@ def cmd_graph(args: argparse.Namespace) -> int:
     family = discover_family(h, args.r, args.t, args.x)
     graph = build_graph(family)
     threshold = f_value(args.r, args.t, args.x)
-    if args.exhaustive:
-        exact = exhaustive_expected_fraction(graph, family)
-        ok = exact >= threshold
-        lines = [
-            _fraction_line("exact expected colored fraction", exact),
-            f"expectation >= f: {'PASS' if ok else 'FAIL'}",
-        ]
-    else:
+    exact = exhaustive_expected_fraction(graph, family)
+    ok = exact >= threshold
+    lines = [
+        _fraction_line("exact expected colored fraction", exact),
+        f"expectation >= f: {'PASS' if ok else 'FAIL'}",
+    ]
+    if not args.exhaustive:
+        # an estimate of the exact value above; where E = f the 3-sigma
+        # check fails on about 0.1% of seeds, so it does not decide
         stats = monte_carlo_colored_fraction(graph, family, args.trials, args.seed)
         bound_ok = stats.mean >= float(threshold) - 3 * stats.stderr
         acyclic = stats.trials - stats.walk_failures
-        lines = [
+        lines += [
             f"trials={stats.trials} seed={args.seed}",
             f"colored fraction: mean={stats.mean:.6f} stderr={stats.stderr:.6f}",
             f"mean >= f - 3*stderr: {'PASS' if bound_ok else 'FAIL'}",
             f"monochromatic walks acyclic: {acyclic}/{stats.trials}",
         ]
-        ok = bound_ok and stats.walk_failures == 0
-    print(_fraction_line(f"f({args.r},{args.t},{args.x})", threshold))
-    print("\n".join(lines))
+        ok = ok and stats.walk_failures == 0
     perms = _SWEEP_PERMUTATIONS if args.exhaustive else min(_SWEEP_PERMUTATIONS, args.trials)
     passed = 0
     for k in range(perms):
         outcome = color_vertices(graph, family, trial_permutation(args.seed, k, graph.n))
         passed += structural_sweep(family, outcome)
+    print(_fraction_line(f"f({args.r},{args.t},{args.x})", threshold))
+    print("\n".join(lines))
     print(f"structural subset sweep: {passed}/{perms} passed")
     return 0 if ok and passed == perms else 1
 

@@ -12,15 +12,11 @@ coloring and for Monte Carlo; the exact expectation and the structural sweep
 walk no rankings. The kernel takes the maximum rank of each distinct closure
 S + {v} once (see _colors); the walk check reads the members, not those
 maxima. Monte Carlo trial k ranks the vertices by
-``default_rng((seed, k)).permutation(n)``, as ``trial_permutation`` does.
-Trials are seeded in blocks: numpy's SeedSequence mix and PCG64 seeding step
-are fixed integer algorithms, so the PCG64 state of every trial in a block is
-computed at once and set on one reused generator, whose own shuffle draws the
-permutation. The last trial of each block is also drawn through
-``default_rng``; if its ranks or the generator state differ (a numpy release
-that changed its seeding), the block is drawn through ``trial_permutation``.
-Either way the ranks are the same bits, so results do not depend on the block
-size.
+``trial_permutation(seed, k, n)``: the argsort of n keys drawn from a Philox
+stream keyed by the seed at counter k * ceil(n / 4), after Salmon, Moraes,
+Dror and Shaw (2011). Trials sit at fixed counter offsets, so a block of
+trials is one raw draw and one argsort, and results do not depend on the
+block size.
 """
 
 from __future__ import annotations
@@ -31,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import sqrt
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -126,18 +122,6 @@ def _member_table(family: RecoveringFamily) -> _Table:
     for array in (members, closures, which):
         array.setflags(write=False)
     return _Table(members=members, closures=closures, which=which)
-
-
-# numpy's SeedSequence constants (NEP 19, after O'Neill's seed_seq_fe) and
-# the PCG64 multiplier (O'Neill 2014); _trial_ranks spot-checks them.
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_XSHIFT = 16
-_POOL_SIZE = 4
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32 = 2**32 - 1
-_MASK128 = 2**128 - 1
 
 
 def _extend(ranks: np.ndarray) -> np.ndarray:
@@ -252,113 +236,37 @@ def _natural(value, name: str) -> int:
     return value
 
 
+def _seed(value) -> int:
+    """value as a Philox key: a nonnegative int below 2^128."""
+    value = _natural(value, "seed")
+    if value >= 2**128:
+        raise InvalidParams("seed must be below 2**128, the Philox key width")
+    return value
+
+
 def trial_permutation(seed: int, trial: int, n: int) -> np.ndarray:
-    """The documented per-trial permutation: ranks 1..n from a PCG64 stream
-    seeded with the pair (seed, trial). Independent of the trial order."""
-    seed, trial, n = _natural(seed, "seed"), _natural(trial, "trial"), _natural(n, "n")
-    return np.random.default_rng((seed, trial)).permutation(n) + 1
-
-
-def _word_count(value: int) -> int:
-    """uint32 words SeedSequence takes from a nonnegative int (0 takes one)."""
-    return max(1, -(-value.bit_length() // 32))
-
-
-def _hash_chain(init: int, mult: int, calls: int) -> np.ndarray:
-    """Hash constants of successive hashmix calls as a column: call i xors
-    with entry i, then multiplies by entry i + 1."""
-    chain = [init]
-    for _ in range(calls):
-        chain.append(chain[-1] * mult & _MASK32)
-    return np.array(chain, dtype=np.uint32)[:, None]
-
-
-def _hashmix(values: np.ndarray, chain: np.ndarray, first: int, calls: int):
-    """hashmix calls first, first + 1, ..., one per row of the result; a
-    single row of values feeds every call."""
-    xor, mult = chain[first : first + calls], chain[first + 1 : first + calls + 1]
-    values = (values ^ xor) * mult
-    return values ^ (values >> _XSHIFT)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    values = _MIX_MULT_L * x - _MIX_MULT_R * y
-    return values ^ (values >> _XSHIFT)
-
-
-def _pcg64_states(seed: int, ks: range) -> Iterator[tuple[int, int]]:
-    """(state, inc) of ``PCG64(SeedSequence((seed, k)))`` for ks that share
-    a word count: SeedSequence's pool and generate_state in uint32 numpy
-    arithmetic, one column per k, then PCG64's seeding step on Python ints."""
-    seed_words = np.frombuffer(seed.to_bytes(4 * _word_count(seed), "little"), "<u4")
-    k_width = 4 * _word_count(ks[0])
-    k_words = np.frombuffer(
-        b"".join(k.to_bytes(k_width, "little") for k in ks), dtype="<u4"
-    ).reshape(len(ks), -1)
-    width = len(seed_words) + k_words.shape[1]
-    entropy = np.zeros((max(width, _POOL_SIZE), len(ks)), dtype=np.uint32)
-    entropy[: len(seed_words)] = seed_words[:, None]
-    entropy[len(seed_words) : width] = k_words.T
-    # mix_entropy: 4 calls to fill the pool, 3 per pool source, 4 per extra
-    # source. The updates from one source are independent, so each source
-    # is one step over a block of rows.
-    chain = _hash_chain(_INIT_A, _MULT_A, 4 * len(entropy))
-    pool = _hashmix(entropy[:_POOL_SIZE], chain, 0, _POOL_SIZE)
-    call = _POOL_SIZE
-    for src in range(_POOL_SIZE):
-        dst = [d for d in range(_POOL_SIZE) if d != src]
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], chain, call, len(dst)))
-        call += len(dst)
-    for src in range(_POOL_SIZE, width):
-        pool = _mix(pool, _hashmix(entropy[src], chain, call, _POOL_SIZE))
-        call += _POOL_SIZE
-    # generate_state(4, uint64): eight uint32 words, paired little-endian.
-    # PCG64 reads the four as (high, low) of initstate, then of initseq.
-    chain = _hash_chain(_INIT_B, _MULT_B, 8)
-    words = _hashmix(pool[np.arange(8) % _POOL_SIZE], chain, 0, 8).astype(np.uint64)
-    pairs = words[0::2] | words[1::2] << np.uint64(32)
-    state_hi, state_lo, seq_hi, seq_lo = pairs.tolist()
-    for sh, sl, qh, ql in zip(state_hi, state_lo, seq_hi, seq_lo):
-        inc = ((qh << 64 | ql) << 1 | 1) & _MASK128
-        yield ((sh << 64 | sl) + inc) * _PCG_MULT + inc & _MASK128, inc
-
-
-def _spot_check(
-    seed: int, k: int, row: np.ndarray, bit_generator: np.random.PCG64
-) -> bool:
-    """Whether a fast-path row, and the PCG64 state its shuffle left, equal
-    those of ``trial_permutation(seed, k, n)``'s draw. The state tells even
-    where n is too small for the row to."""
-    reference = np.random.default_rng((seed, k))
-    return (
-        np.array_equal(row, reference.permutation(len(row)) + 1)
-        and reference.bit_generator.state == bit_generator.state
-    )
+    """The documented per-trial ranks 1..n: row ``trial`` of _trial_ranks,
+    a function of (seed, trial, n) only."""
+    seed, trial, n = _seed(seed), _natural(trial, "trial"), _natural(n, "n")
+    if (trial + 1) * -(-n // 4) > 2**256:
+        raise InvalidParams("trial is past the end of the Philox counter")
+    return _trial_ranks(seed, range(trial, trial + 1), n)[0]
 
 
 def _trial_ranks(seed: int, ks: range, n: int) -> np.ndarray:
-    """Rows ``trial_permutation(seed, k, n)`` for a range of trials, seeded
-    in one batch per word count of k. The last trial of each batch is also
-    drawn through ``default_rng``; on a mismatch the batch is drawn through
-    ``trial_permutation``."""
-    ranks = np.empty((len(ks), n), dtype=np.int64)
-    ranks[:] = np.arange(1, n + 1)
-    bit_generator = np.random.PCG64(0)
-    generator = np.random.Generator(bit_generator)
-    value = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
-    first = ks.start
-    while first < ks.stop:
-        batch = range(first, min(ks.stop, 1 << 32 * _word_count(first)))
-        rows = ranks[first - ks.start : batch.stop - ks.start]
-        for row, (state, inc) in zip(rows, _pcg64_states(seed, batch)):
-            value["state"] = {"state": state, "inc": inc}
-            bit_generator.state = value
-            # permutation(n) is shuffle(arange(n)); moves do not read values
-            generator.shuffle(row)
-        if not _spot_check(seed, batch[-1], rows[-1], bit_generator):
-            rows[:] = [trial_permutation(seed, k, n) for k in batch]
-        first = batch.stop
-    return ranks
+    """Rows of ranks for a range of trials. Trial k takes the first n of the
+    4m words from ``Philox(key=seed, counter=k*m).random_raw(4*m)``,
+    m = ceil(n / 4), so consecutive trials are consecutive words and a block
+    is one draw. Each word's low bits are replaced by its vertex index, so
+    the n keys are distinct and every sort orders them alike; the row is
+    their argsort plus one."""
+    m = -(-n // 4)
+    stream = np.random.Philox(key=seed, counter=ks.start * m)
+    keys = stream.random_raw(len(ks) * 4 * m).reshape(len(ks), 4 * m)[:, :n]
+    low = max(1, (n - 1).bit_length())
+    keys &= np.uint64(2**64 - 2**low)
+    keys |= np.arange(n, dtype=np.uint64)
+    return keys.argsort(axis=1) + 1
 
 
 def monte_carlo_colored_fraction(
@@ -372,12 +280,12 @@ def monte_carlo_colored_fraction(
     Every trial also verifies that monochromatic colored walks strictly
     descend the ranking, hence are acyclic. Trial k ranks the vertices by
     ``trial_permutation(seed, k, n)``. Each block of _BLOCK_ENTRIES // n
-    trials is seeded, colored and walk-checked at once; results depend only
+    trials is drawn, colored and walk-checked at once; results depend only
     on (seed, trials), never on scheduling or the block size.
     """
     if graph.n != family.n:
         raise InvalidParams("graph and family disagree on n")
-    trials, seed = _natural(trials, "trials"), _natural(seed, "seed")
+    trials, seed = _natural(trials, "trials"), _seed(seed)
     if trials < 2:
         raise InvalidParams("need at least two trials for a standard error")
     table = _member_table(family)

@@ -281,8 +281,15 @@ def expected_colored_fraction_by_simulation(
 
 
 def seeded_permutation(seed: int, trial: int, n: int) -> np.ndarray:
-    """The per-trial ranks of the Monte Carlo contract, drawn directly."""
-    return np.random.default_rng((seed, trial)).permutation(n) + 1
+    """The per-trial ranks of the Monte Carlo contract, drawn on their own:
+    a fresh Philox for this trial alone, at counter trial * ceil(n / 4),
+    and vertices ordered by Python's sort on (word without its low bits,
+    vertex)."""
+    m = -(-n // 4)
+    words = np.random.Philox(key=seed, counter=trial * m).random_raw(4 * m)
+    low = max(1, (n - 1).bit_length())
+    order = sorted((int(w) >> low, v) for v, w in enumerate(words[:n]))
+    return np.array([v + 1 for _, v in order], dtype=np.int64)
 
 
 def monte_carlo_by_rule(sets_by_coordinate, n: int, trials: int, seed: int):

@@ -18,7 +18,7 @@ BENCH = Path(__file__).resolve().parents[1] / "lrcbench"
 
 DIGESTS = {
     "study": "60d90d4e2dc411da47ee500755f85d778e3676939464ef0cd09a34e4b23a4250",
-    "coloring": "36606df3465dfa0cb8c126da03d7a83016b2a6ca7fb212db09d0069d210c7cc9",
+    "coloring": "65999463e916be930d1ce3656c19fc636d84c8aed1d91154a7fc7d8f37eba70a",
     "repair-stream": "a5e282b3bf1260218e24b349041c0bbcaeb4f3be863f05b6037f477e6e44aa9a",
 }
 

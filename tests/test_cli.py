@@ -259,12 +259,35 @@ def test_graph_sweeps_past_twelve_vertices(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.splitlines() == [
         "f(5,3,1) = 21/80 = 0.2625",
+        "exact expected colored fraction = 19/70 = 0.2714",
+        "expectation >= f: PASS",
         "trials=1000 seed=0",
-        "colored fraction: mean=0.271250 stderr=0.000965",
+        "colored fraction: mean=0.272000 stderr=0.000986",
         "mean >= f - 3*stderr: PASS",
         "monochromatic walks acyclic: 1000/1000",
         "structural subset sweep: 20/20 passed",
     ]
+
+
+@pytest.mark.parametrize("seed", ["44", "1228", "2961"])
+def test_graph_decides_on_the_exact_expectation(tmp_path, capsys, seed):
+    # E = f on the 12-column example, so the 3-sigma Monte Carlo check fails
+    # on a few seeds in a thousand; these are the ones among 0-2999. It is
+    # printed as an estimate and does not set the exit code.
+    path = str(tmp_path / "h.txt")
+    assert main(["construct", "xlrc", "2", "2", "1", "--convention", "complement", "--out", path]) == 0
+    capsys.readouterr()
+    assert main(["graph", path, "5", "2", "1", "--seed", seed]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1:3] == ["exact expected colored fraction = 7/30 = 0.2333", "expectation >= f: PASS"]
+    assert "mean >= f - 3*stderr: FAIL" in out
+    assert out[-2:] == ["monochromatic walks acyclic: 10000/10000", "structural subset sweep: 20/20 passed"]
+
+
+def test_graph_accepts_the_widest_seed(tmp_path, capsys):
+    path = _write_matrix(tmp_path, XLRC_221_COMPLEMENT)
+    assert main(["graph", path, "5", "2", "1", "--trials", "50", "--seed", str(2**128 - 1)]) == 0
+    assert f"trials=50 seed={2**128 - 1}" in capsys.readouterr().out
 
 
 def test_simulate(tmp_path, capsys):
@@ -284,6 +307,8 @@ def test_simulate(tmp_path, capsys):
         ("simulate", ["--seed", "-1"]),
         ("simulate", ["--samples", "0"]),
         ("simulate", ["--samples", "-2"]),
+        ("graph", ["--seed", str(2**128)]),
+        ("graph", ["--seed", str(2**128), "--exhaustive"]),
     ],
 )
 def test_seed_and_samples_are_usage_errors(tmp_path, capsys, command, options):

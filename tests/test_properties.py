@@ -19,6 +19,13 @@ once, against the rule read literally, and the walk check against a DFS
 over the colored own-color edges. Each example draws a family mixing
 groups G with sets G - {v} (closures shared across vertices), free random
 sets, repeated sets, one-member sets and vertices with no sets.
+
+Monte Carlo rank blocks, one Philox draw and one argsort per block, against
+the oracle that draws each trial from a fresh Philox and ranks it with
+Python's sort. Seeds span the 128-bit key, n includes both sides of each
+multiple of 4 (a trial's words are cut from 4 * ceil(n / 4)), and blocks
+start near 2^64 / ceil(n / 4), where the counter carries into its second
+word.
 """
 
 import numpy as np
@@ -36,7 +43,7 @@ from lrckit import (
     simulate_repair,
     systematic_encode,
 )
-from lrckit.recovery_graph import _colors, _member_table, _walks_descend
+from lrckit.recovery_graph import _colors, _member_table, _trial_ranks, _walks_descend
 from lrckit.repair_sim import _fails_checks
 from oracles import (
     colors_by_rule,
@@ -46,6 +53,7 @@ from oracles import (
     parity_words_by_set,
     repair_trace_by_parity_word,
     rref_by_column_loop,
+    seeded_permutation,
 )
 
 MAX_COLS = 70
@@ -231,3 +239,25 @@ def test_coloring_matches_rule_and_walks_match_dfs(scenario):
         )
         assert ok == descends
         assert mono_walks_acyclic(members, [int(c) or None for c in row]) or not ok
+
+
+@st.composite
+def trial_blocks(draw):
+    """(seed, first trial, trial count, n)."""
+    near_four = st.builds(lambda j, d: 4 * j + d, st.integers(1, 74), st.sampled_from((-1, 1)))
+    n = draw(st.integers(1, 300) | near_four)
+    carry = 2**64 // -(-n // 4)
+    first = draw(
+        st.integers(0, 40) | st.integers(carry - 6, carry + 2) | st.integers(0, carry + 2)
+    )
+    return draw(st.integers(0, 2**128 - 1)), first, draw(st.integers(1, 6)), n
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(trial_blocks())
+def test_trial_ranks_match_a_fresh_philox_per_trial(case):
+    seed, first, count, n = case
+    ranks = _trial_ranks(seed, range(first, first + count), n)
+    expected = [seeded_permutation(seed, k, n) for k in range(first, first + count)]
+    assert np.array_equal(ranks, np.stack(expected))
+    assert (np.sort(ranks, axis=1) == np.arange(1, n + 1)).all()

@@ -1,8 +1,11 @@
-"""The README's Python quick start runs, and prints what its comments say."""
+"""The README's Python quick start runs, and prints what its comments say;
+its `lrckit graph` example prints the output shown."""
 
 import re
 import sys
 from pathlib import Path
+
+from lrckit.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -30,3 +33,15 @@ def test_quick_start_prints_what_it_states():
     assert stated
     for number, value in stated.items():
         assert value in (printed[number], repr(printed[number])), number
+
+
+def test_graph_example_prints_what_the_readme_shows(tmp_path, capsys):
+    block = README.read_text().split("```text\n$ lrckit graph ", 1)[1].split("```", 1)[0]
+    command, *shown = block.splitlines()
+    path = tmp_path / "example.txt"
+    assert main(["construct", "xlrc", "2", "2", "1", "--convention", "complement", "--out", str(path)]) == 0
+    capsys.readouterr()
+    args = command.split()
+    assert args[0] == "example.txt"
+    assert main(["graph", str(path), *args[1:]]) == 0
+    assert capsys.readouterr().out.splitlines() == shown

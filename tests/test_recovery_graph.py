@@ -29,7 +29,6 @@ from lrckit import recovery_graph
 from lrckit.recovery_graph import (
     _colors,
     _member_table,
-    _trial_ranks,
     _walks_descend,
 )
 from oracles import (
@@ -187,17 +186,17 @@ def test_color_vertices_rejects_non_integer_entries():
 def test_frozen_coloring_outcome():
     _, family, graph = _small_setup()
     outcome = color_vertices(graph, family, trial_permutation(0, 0, 6))
-    assert outcome.colors == (2, None, 1, None, None, None)
-    assert outcome.colored == frozenset({1, 3})
+    assert outcome.colors == (None, None, None, 1, 1, None)
+    assert outcome.colored == frozenset({4, 5})
 
 
 def test_structural_check_on_colored_subsets():
     _, family, graph = _small_setup()
     outcome = color_vertices(graph, family, trial_permutation(0, 0, 6))
     assert structural_check(graph, family, outcome, outcome.colored)
-    assert structural_check(graph, family, outcome, frozenset({1}))
+    assert structural_check(graph, family, outcome, frozenset({4}))
     with pytest.raises(InvalidParams):
-        structural_check(graph, family, outcome, frozenset({2}))
+        structural_check(graph, family, outcome, frozenset({1}))
 
 
 def test_structural_check_refuses_mismatched_n():
@@ -205,7 +204,7 @@ def test_structural_check_refuses_mismatched_n():
     # graph or an outcome of another length: refused as the siblings refuse it.
     _, family, graph = _small_setup()
     outcome = color_vertices(graph, family, trial_permutation(0, 0, 6))
-    subset = frozenset({1})
+    subset = frozenset({4})
     assert structural_check(graph, family, outcome, subset)
     with pytest.raises(InvalidParams, match="^graph and family disagree on n$"):
         structural_check(RecoveryGraph(n=3, t=2), family, outcome, subset)
@@ -546,33 +545,34 @@ def test_colorings_never_cycle():
     assert stats.mean >= float(f_value(5, 2, 1)) - 3 * stats.stderr
 
 
-# Seeds of 1 to 4 uint32 words; 2**96 + 1 with k makes more entropy words
-# than SeedSequence's pool of 4.
-SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**96 + 1]
+# Seeds of 1 to 4 uint32 words, and the widest Philox key.
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**96 + 1, 2**128 - 1]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 65, 224])
 @pytest.mark.parametrize("seed", SEEDS)
-def test_trial_ranks_match_default_rng(monkeypatch, seed, n):
-    # the spot check always passes, so every row comes from the fast path
-    monkeypatch.setattr(recovery_graph, "_spot_check", lambda *args: True)
-    for ks in (range(0, 40), range(2**32 - 3, 2**32 + 3), range(2**64 - 2, 2**64 + 1)):
-        expected = np.stack([seeded_permutation(seed, k, n) for k in ks])
-        assert np.array_equal(_trial_ranks(seed, ks, n), expected)
+def test_seeds_up_to_the_key_width_are_accepted(seed):
+    family = canonical_family(build_xlrc(2, 2, 1, convention="complement"))
+    for k in (0, 1, 2**64 - 1):
+        assert np.array_equal(trial_permutation(seed, k, 12), seeded_permutation(seed, k, 12))
+    stats = monte_carlo_colored_fraction(build_graph(family), family, 50, seed)
+    mean, stderr = monte_carlo_by_rule(family.sets_by_coordinate, 12, 50, seed)
+    assert (stats.mean.hex(), stats.stderr.hex()) == (mean.hex(), stderr.hex())
 
 
-def test_trial_ranks_fall_back_when_the_stream_changes(monkeypatch):
-    # a wrong PCG64 multiplier stands in for a numpy release that seeds
-    # differently; the spot check must send every batch through default_rng,
-    # also at n = 2, where a wrong row matches the right one half the time
-    monkeypatch.setattr(recovery_graph, "_PCG_MULT", 3)
-    ks = range(2**32 - 20, 2**32 + 20)
-    for n in (2, 12):
-        for seed in (0, 1, 5):
-            expected = np.stack([seeded_permutation(seed, k, n) for k in ks])
-            assert np.array_equal(_trial_ranks(seed, ks, n), expected)
-    monkeypatch.setattr(recovery_graph, "_spot_check", lambda *args: True)
-    assert not np.array_equal(_trial_ranks(5, ks, 12), expected)
+def test_seed_past_the_key_width_is_invalid():
+    _, family, graph = _small_setup()
+    with pytest.raises(InvalidParams, match="^seed must be below 2\\*\\*128"):
+        trial_permutation(2**128, 0, 6)
+    with pytest.raises(InvalidParams, match="^seed must be below 2\\*\\*128"):
+        monte_carlo_colored_fraction(graph, family, 10, 2**128)
+
+
+def test_trial_past_the_counter_is_invalid():
+    # trial k reads counters k*m + 1 .. k*m + m (mod 2^256), m = ceil(n / 4)
+    last = 2**256 // 3 - 1
+    assert len(trial_permutation(0, last, 12)) == 12
+    with pytest.raises(InvalidParams, match="^trial is past the end"):
+        trial_permutation(0, last + 1, 12)
 
 
 @pytest.mark.parametrize(
@@ -584,10 +584,7 @@ def test_trial_ranks_fall_back_when_the_stream_changes(monkeypatch):
     ],
     ids=["n12", "ragged", "ragged224"],
 )
-@pytest.mark.parametrize("spot_check", ["real", "always-fails"])
-def test_monte_carlo_matches_rule_oracle(monkeypatch, family, trials, seed, spot_check):
-    if spot_check == "always-fails":
-        monkeypatch.setattr(recovery_graph, "_spot_check", lambda *args: False)
+def test_monte_carlo_matches_rule_oracle(family, trials, seed):
     stats = monte_carlo_colored_fraction(build_graph(family), family, trials, seed)
     mean, stderr = monte_carlo_by_rule(family.sets_by_coordinate, family.n, trials, seed)
     assert (stats.mean.hex(), stats.stderr.hex()) == (mean.hex(), stderr.hex())
@@ -603,13 +600,8 @@ def test_monte_carlo_matches_rule_oracle(monkeypatch, family, trials, seed, spot
     ],
     ids=["n12", "ragged", "ragged224"],
 )
-@pytest.mark.parametrize("spot_check", ["real", "always-fails"])
-def test_monte_carlo_does_not_depend_on_the_block_size(
-    monkeypatch, family, trials, seed, spot_check
-):
+def test_monte_carlo_does_not_depend_on_the_block_size(monkeypatch, family, trials, seed):
     # each trial count spans one default block and part of a second
-    if spot_check == "always-fails":
-        monkeypatch.setattr(recovery_graph, "_spot_check", lambda *args: False)
     graph = build_graph(family)
 
     def run():
