@@ -29,6 +29,7 @@ from lrckit import recovery_graph
 from lrckit.recovery_graph import (
     _colors,
     _member_table,
+    _trial_ranks,
     _walks_descend,
 )
 from oracles import (
@@ -557,6 +558,26 @@ def test_seeds_up_to_the_key_width_are_accepted(seed):
     stats = monte_carlo_colored_fraction(build_graph(family), family, 50, seed)
     mean, stderr = monte_carlo_by_rule(family.sets_by_coordinate, 12, 50, seed)
     assert (stats.mean.hex(), stats.stderr.hex()) == (mean.hex(), stderr.hex())
+
+
+def _default_rng_row(seed: int, k: int, n: int) -> list[int]:
+    # numpy's Generator over trial k's own Philox stream; integers over the
+    # whole uint64 range hands out the raw words unchanged
+    m = -(-n // 4)
+    rng = np.random.default_rng(np.random.Philox(key=seed, counter=k * m))
+    words = rng.integers(0, 2**64, size=4 * m, dtype=np.uint64)[:n]
+    low = max(1, (n - 1).bit_length())
+    return [v + 1 for _, v in sorted((int(w) >> low, v) for v, w in enumerate(words))]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 65, 224])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_trial_ranks_match_default_rng(seed, n):
+    # blocks at the first trials and where k * m carries past 2^32 and 2^64
+    for ks in (range(0, 40), range(2**32 - 3, 2**32 + 3), range(2**64 - 2, 2**64 + 1)):
+        expected = np.array([_default_rng_row(seed, k, n) for k in ks])
+        assert np.array_equal(_trial_ranks(seed, ks, n), expected)
+        assert np.array_equal(expected, np.stack([seeded_permutation(seed, k, n) for k in ks]))
 
 
 def test_seed_past_the_key_width_is_invalid():
