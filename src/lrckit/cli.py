@@ -27,12 +27,13 @@ from .errors import (
 )
 from .gf2 import BitMatrix, rank
 from .recovery_graph import (
+    _seed,
+    _trial_ranks,
     build_graph,
     color_vertices,
     exhaustive_expected_fraction,
     monte_carlo_colored_fraction,
     structural_sweep,
-    trial_permutation,
 )
 from .repair_sim import simulate_repair, systematic_encode
 from .verifier import AUTO, DUAL_ENUM, discover_family, resolve_search_mode, verify_family
@@ -296,9 +297,9 @@ def cmd_graph(args: argparse.Namespace) -> int:
         ok = ok and stats.walk_failures == 0
     perms = _SWEEP_PERMUTATIONS if args.exhaustive else min(_SWEEP_PERMUTATIONS, args.trials)
     passed = 0
-    for k in range(perms):
-        outcome = color_vertices(graph, family, trial_permutation(args.seed, k, graph.n))
-        passed += structural_sweep(family, outcome)
+    # The sweep's permutations are trials 0.. of the seed, drawn as one block.
+    for ranks in _trial_ranks(_seed(args.seed), range(perms), graph.n):
+        passed += structural_sweep(family, color_vertices(graph, family, ranks))
     print(_fraction_line(f"f({args.r},{args.t},{args.x})", threshold))
     print("\n".join(lines))
     print(f"structural subset sweep: {passed}/{perms} passed")

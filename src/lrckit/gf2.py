@@ -8,8 +8,9 @@ is eliminated once: ``_record`` keeps rref(H), its pivots and the packed
 columns of repair's parity test for the last 64 matrices, and rank, rref,
 the nullspace, codeword and dual-word enumeration, the parity words,
 encoding and the parity test read it. The nullspace basis is built from it
-on each call. The parity-word kernel solves each (target, helpers) job on
-its own, over the reduced rows held as Python ints.
+on each call. The parity-word kernel eliminates each distinct closure
+helpers + {target} once, for all the jobs that share it, over the reduced
+rows held as Python ints.
 """
 
 from __future__ import annotations
@@ -276,19 +277,28 @@ def _parity_words(
 
     The rows of rref(H) come from H's record, as Python ints (bit c is
     column c). A row-space word is the sum of the reduced rows at the pivot
-    columns where it has a 1, so a job's unknowns are the at most
-    |helpers| + 1 reduced rows whose pivot lies in helpers + {target}, and
-    each job is solved on its own. Masked to the target and the columns
-    outside helpers + {target}, the solved rows must sum to the target bit
-    alone. The unknowns go in pivot order into a basis keyed on each masked
-    sum's top bit, each entry carrying its unmasked sum; an unknown that
-    reduces to zero depends on earlier ones and stays out. A remainder of
-    the target bit against the basis means no word; otherwise the word is
-    the sum the reduction collects. Unknowns taken in pivot order with free
-    ones left at 0 give the solution the oracle
-    ``tests/oracles.py::solve_by_pivot_limit`` gives (a reduced echelon form
-    is unique), so the words are its words. They depend on the row space of
-    H and its column order, not on its rows.
+    columns where it has a 1, so a job's word is a sum of the reduced rows
+    whose pivot lies in its closure T = helpers + {target}. Jobs are grouped
+    by T, and each distinct T is eliminated once (``_closed_words``): its
+    rows go in pivot order into a basis of their columns outside T, and each
+    row that reduces to zero closes a word supported in T. A job's word is
+    the first closed word, in pivot order, with a 1 at its target; with none
+    there is no word.
+
+    This is the word of the job solved on its own. That solve takes the
+    same rows in pivot order, masked to the target and the columns outside
+    T, keeps each row its kept rows do not span, and returns the one sum of
+    kept rows whose masked sum is the target bit alone. A row independent
+    outside T is kept by both. The first row that closes a word through
+    the target is kept, and its closed word (its row plus earlier kept rows,
+    by its pivot bits) masks to the target bit alone: it is that sum. Every
+    other row that closes a word is left out, spanned at the target too
+    before that row and with the target bit after it. Without such a word,
+    every sum of rows that vanishes outside T is a sum of closed words and
+    misses the target, so the job has no word. The per-job solution is the
+    one the oracle ``tests/oracles.py::solve_by_pivot_limit`` gives (a
+    reduced echelon form is unique), so the words are its words. They depend
+    on the row space of H and its column order, not on its rows.
     """
     record = _record(h)
     packed = np.packbits(record.reduced[: len(record.pivots)], axis=1, bitorder="little")
@@ -300,25 +310,48 @@ def _parity_words(
     filled = 0
     bounds = np.zeros(len(jobs) + 1, dtype=np.intp)
     found = np.zeros(len(jobs), dtype=bool)
+    # Each closure is eliminated once, keyed on its columns sorted: jobs that
+    # list the same columns, helpers and target, share the elimination.
+    closed: dict[tuple[int, ...], list[tuple[int, list[int]]]] = {}
     for k, (target, helpers) in enumerate(jobs):
         # Columns may be numpy integers, which cannot shift past 63 bits.
         target = int(target)
-        others = {*map(int, helpers)} - {target}
-        # Masking keeps the target and the columns outside helpers + {target}.
-        keep = ~sum(1 << c for c in others)
-        basis: dict[int, tuple[int, int]] = {}
-        for row in sorted(row_of[c] for c in others | {target} if c in row_of):
-            masked, word = _reduce(basis, rows[row] & keep, rows[row])
-            if masked:
-                basis[masked.bit_length() - 1] = masked, word
-        remainder, word = _reduce(basis, 1 << target, 0)
-        if not remainder:
-            ids = [c for c in sorted(others) if word >> c & 1]
-            columns[filled : filled + len(ids)] = ids
-            filled += len(ids)
-            found[k] = True
+        key = tuple(sorted((*helpers, target)))
+        words = closed.get(key)
+        if words is None:
+            words = closed[key] = _closed_words(rows, row_of, key)
+        for word, support in words:
+            if word >> target & 1:
+                ids = list(support)
+                ids.remove(target)
+                columns[filled : filled + len(ids)] = ids
+                filled += len(ids)
+                found[k] = True
+                break
         bounds[k + 1] = filled
     return columns[:filled], bounds, found
+
+
+def _closed_words(
+    rows: list[int], row_of: dict[int, int], key: tuple[int, ...]
+) -> list[tuple[int, list[int]]]:
+    """The row-space words one elimination closes inside the closure
+    ``key`` lists, in pivot order, each with its ascending support. The
+    reduced rows pivoting in the closure, masked to the columns outside it,
+    go in pivot order into a basis keyed on each masked sum's top bit; a row
+    that reduces to zero closes its unmasked sum."""
+    closure = sorted({*map(int, key)})
+    keep = ~sum(1 << c for c in closure)
+    basis: dict[int, tuple[int, int]] = {}
+    words = []
+    # Pivots ascend, so the rows of the closure's pivots come in pivot order.
+    for row in [row_of[c] for c in closure if c in row_of]:
+        masked, word = _reduce(basis, rows[row] & keep, rows[row])
+        if masked:
+            basis[masked.bit_length() - 1] = masked, word
+        else:
+            words.append((word, [c for c in closure if word >> c & 1]))
+    return words
 
 
 def _reduce(basis: dict[int, tuple[int, int]], masked: int, word: int) -> tuple[int, int]:

@@ -9,7 +9,6 @@ pairwise intersections of size at most x.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -275,7 +274,11 @@ def _realizing_helpers(h: BitMatrix, family: RecoveringFamily) -> _Realized:
     """The realizing-word table of ``family`` over H, which verification and
     repair share: the parity word of every recovering set, all found by one
     call of the parity-word kernel gf2._parity_words, over H's one
-    elimination."""
+    elimination. Each coordinate's loads come from one counting pass over
+    its helper columns, sorted so that the keys ascend. Counting one
+    coordinate at a time keeps the build from holding an array with an
+    entry per helper read beside ``columns``, and sorting in Python keeps
+    numpy's sort code out of the process's resident memory."""
     # The job list is only an argument, so it is freed before the loads are.
     columns, bounds, found = _parity_words(
         h,
@@ -294,8 +297,10 @@ def _realizing_helpers(h: BitMatrix, family: RecoveringFamily) -> _Realized:
     for i, sets in enumerate(family.sets_by_coordinate, start=1):
         end = k + len(sets)
         cuts.append(tuple(bounds[k : end + 1]))
-        load = Counter((columns[bounds[k] : bounds[end]] + 1).tolist())
-        loads.append({j: load[j] for j in sorted(load)})
+        load: dict[int, int] = {}
+        for j in sorted(columns[bounds[k] : bounds[end]].tolist()):
+            load[j + 1] = load.get(j + 1, 0) + 1
+        loads.append(load)
         unrealized += [(i, m - k + 1) for m in range(k, end) if not found[m]]
         k = end
     pairs = np.empty(2 * h.cols, dtype=object)

@@ -316,15 +316,30 @@ def test_table_matches_oracle_on_study_codes(seed):
     assert unrealized
 
 
+def _presented(r, t, x):
+    """xlrc(r, t, x) with its columns permuted and its rows mixed as the
+    benchmark presents it at seed 0, and its canonical family mapped through
+    the permutation."""
+    workloads = _bench_workloads()
+    code = build_xlrc(r, t, x)
+    matrix, perm = workloads.present(code.H.array, 0, 0, mix=True)
+    return BitMatrix(matrix), workloads.permute_family(canonical_family(code), perm)
+
+
+def _table_jobs(family):
+    """The kernel's jobs for a family, as the realizing-word table lists them."""
+    return [
+        (i, [e - 1 for e in s])
+        for i, sets in enumerate(family.sets_by_coordinate)
+        for s in sets
+    ]
+
+
 def test_table_build_memory_is_bounded():
     # The repair-stream code: xlrc(5,3,3), n = 224, row-mixed as the
     # benchmark presents it. Both caches start empty, so the peak covers the
     # elimination of H whatever ran before.
-    workloads = _bench_workloads()
-    code = build_xlrc(5, 3, 3)
-    matrix, perm = workloads.present(code.H.array, 0, 0, mix=True)
-    h = BitMatrix(matrix)
-    family = workloads.permute_family(canonical_family(code), perm)
+    h, family = _presented(5, 3, 3)
     gf2._record.cache_clear()
     verifier._realizing_helpers.cache_clear()
     tracemalloc.start()
@@ -336,6 +351,49 @@ def test_table_build_memory_is_bounded():
     assert peak <= 2**20
 
 
+@pytest.mark.parametrize("spec", [(5, 3, 3), (7, 4, 3)], ids=["xlrc533", "xlrc743"])
+def test_table_build_transient_memory_stays_below_its_columns(spec):
+    # Row-mixed xlrc(5,3,3) (the repair-stream code, n = 224) and xlrc(7,4,3)
+    # (n = 1,320), with H's record already built. What the table build
+    # allocates beyond what the table keeps stays below the bytes of the
+    # table's own helper columns (121 and 1,279 KiB): the loads are counted
+    # one coordinate at a time, not by an array with an entry per read.
+    h, family = _presented(*spec)
+    gf2._record(h)
+    verifier._realizing_helpers.cache_clear()
+    tracemalloc.start()
+    try:
+        table = verifier._realizing_helpers(h, family)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - retained <= table.columns.nbytes
+
+
+def test_kernel_eliminates_once_per_distinct_closure(monkeypatch):
+    # The repair-stream family has 672 recovering sets but only 28 distinct
+    # closures S + {i}. The kernel reduces each closure's rows, the reduced
+    # rows pivoting in it, once for all the jobs that share it.
+    h, family = _presented(5, 3, 3)
+    jobs = _table_jobs(family)
+    closures = {frozenset(helpers) | {target} for target, helpers in jobs}
+    assert (len(jobs), len(closures)) == (672, 28)
+    pivots = gf2._record(h).pivots
+    rows = sum(sum(c in closure for c in pivots) for closure in closures)
+    want = gf2._parity_words(h, jobs)
+    calls = Counter()
+    reduce = gf2._reduce
+
+    def counted(*args):
+        calls["reduce"] += 1
+        return reduce(*args)
+
+    monkeypatch.setattr(gf2, "_reduce", counted)
+    got = gf2._parity_words(h, jobs)
+    assert 0 < calls["reduce"] <= rows
+    assert all(np.array_equal(x, y) for x, y in zip(got, want))
+
+
 def test_kernel_memory_stays_below_one_dense_word_array():
     # Canonical xlrc(7,4,3): n = 1,320, 165 rows and 5,280 jobs, so one
     # (jobs, n) uint8 array of words would take 6,806 KiB, and 1,701 KiB
@@ -345,11 +403,7 @@ def test_kernel_memory_stays_below_one_dense_word_array():
     # The record it reads, rref(H) and its packed columns, stays below that
     # too: it keeps no k x n nullspace basis (1,547 KiB here).
     code = build_xlrc(7, 4, 3)
-    jobs = [
-        (i, [e - 1 for e in s])
-        for i, sets in enumerate(canonical_family(code).sets_by_coordinate)
-        for s in sets
-    ]
+    jobs = _table_jobs(canonical_family(code))
     h = code.H
     gf2._record.cache_clear()
     tracemalloc.start()
