@@ -45,10 +45,10 @@ _SWEEP_PERMUTATIONS = 20
 
 
 def render_matrix(matrix: BitMatrix) -> str:
-    lines = [f"{matrix.rows} {matrix.cols}"]
-    for row in matrix.array:
-        lines.append("".join(str(int(v)) for v in row))
-    return "\n".join(lines) + "\n"
+    # Each row's digits are its entries plus ord("0"), then a newline.
+    text = np.full((matrix.rows, matrix.cols + 1), ord("\n"), dtype=np.uint8)
+    text[:, :-1] = matrix.array + ord("0")
+    return f"{matrix.rows} {matrix.cols}\n" + text.tobytes().decode("ascii")
 
 
 def parse_matrix(text: str) -> BitMatrix:
@@ -71,14 +71,14 @@ def parse_matrix(text: str) -> BitMatrix:
         raise ParseError(len(lines) + 1, f"expected {rows} row lines, file ends early")
     if len(lines) - 1 > rows:
         raise ParseError(rows + 2, "unexpected content after the last row")
-    data = []
     for i, line in enumerate(lines[1:], start=2):
         if len(line) != cols:
             raise ParseError(i, f"expected {cols} characters, found {len(line)}")
-        if set(line) - {"0", "1"}:
+        if line.count("0") + line.count("1") != cols:
             raise ParseError(i, "rows may contain only 0 and 1")
-        data.append([int(ch) for ch in line])
-    return BitMatrix(data)
+    # Every row is now ASCII 0s and 1s, so each byte less ord("0") is its bit.
+    digits = np.frombuffer("".join(lines[1:]).encode("ascii"), dtype=np.uint8)
+    return BitMatrix((digits - ord("0")).reshape(rows, cols))
 
 
 def load_matrix(path: str | Path) -> BitMatrix:

@@ -16,6 +16,8 @@ rows held as Python ints.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
+from math import comb
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -218,6 +220,53 @@ def _span_blocks(basis: np.ndarray) -> Iterator[np.ndarray]:
     low = _xor_combinations(basis[high:])
     for offset in _xor_combinations(basis[:high]):
         yield low ^ offset
+
+
+def _sum_count(rows: int, most: int) -> int:
+    """How many sums of at most ``most`` distinct rows, the empty one
+    included, ``rows`` rows have."""
+    return sum(comb(rows, size) for size in range(min(most, rows) + 1))
+
+
+def _sum_blocks(basis: np.ndarray, most: int) -> Iterator[np.ndarray]:
+    """Every XOR of at most ``most`` distinct packed basis rows, the empty
+    one included, each once, in blocks of at most 2**_BLOCK_BITS rows.
+
+    The sums of the last rows, as many rows as one block holds, are tabled
+    by size. Each sum of the other rows, by size, then yields the table's
+    sums small enough to join it, XORed with it. Memory is the table and one
+    block, whatever the rank."""
+    low = basis.shape[0]
+    while _sum_count(low, most) > 2**_BLOCK_BITS:
+        low -= 1
+    high = basis.shape[0] - low
+    table, ends = _sum_table(basis[high:], most)
+    yield table
+    for size in range(1, min(most, high) + 1):
+        for rows in combinations(range(high), size):
+            yield table[: ends[most - size]] ^ np.bitwise_xor.reduce(basis[list(rows)])
+
+
+def _sum_table(rows: np.ndarray, most: int) -> tuple[np.ndarray, list[int]]:
+    """The XORs of at most ``most`` distinct packed rows, ordered by size and
+    within a size by last row; ``ends[s]`` counts those of size <= s. A sum
+    of s rows whose last row is j extends a sum of s - 1 rows before j, and
+    those are the first comb(j, s - 1) sums of size s - 1."""
+    count, limbs = rows.shape
+    ends = [_sum_count(count, size) for size in range(most + 1)]
+    table = np.zeros((ends[-1], limbs), dtype=np.uint64)
+    for size in range(1, min(most, count) + 1):
+        below = ends[size - 2] if size > 1 else 0
+        filled = ends[size - 1]
+        for j in range(size - 1, count):
+            extended = comb(j, size - 1)
+            np.bitwise_xor(
+                table[below : below + extended],
+                rows[j],
+                out=table[filled : filled + extended],
+            )
+            filled += extended
+    return table, ends
 
 
 def iter_codeword_blocks(

@@ -20,10 +20,13 @@ from .errors import DimensionTooLarge, FamilyNotFound, InvalidParams, _integer
 from .gf2 import (
     BitMatrix,
     _as_matrix,
+    _BLOCK_BITS,
     _pack_rows,
     _parity_words,
     _record,
     _span_blocks,
+    _sum_blocks,
+    _sum_count,
     _unpack_rows,
     rank,
 )
@@ -118,40 +121,123 @@ class VerificationReport:
 def _low_weight_words(h: BitMatrix, r: int, mode: str) -> np.ndarray:
     """Packed nonzero dual words of weight <= r + 1, per resolved search mode.
 
-    rows-only: the rows themselves. bounded-combos: XORs of up to 3 rows.
-    dual-enum: the entire row space (requires rank <= DUAL_ENUM_RANK_CAP),
-    streamed in blocks so memory does not grow with 2**rank. Words may repeat.
+    rows-only: the rows themselves. bounded-combos: the XORs of one, two or
+    three rows of H that can weigh at most r + 1 (_pruned_combinations).
+    dual-enum, which checks rank <= DUAL_ENUM_RANK_CAP first: a word's bits
+    at the pivots of rref(H) are its coefficients over the reduced rows, so
+    a word of weight <= r + 1 is a sum of at most r + 1 of them. Those sums
+    are enumerated (gf2._sum_blocks) when they number at most half the
+    2**rank words of the row space, which is walked whole otherwise
+    (gf2._span_blocks). Both stream blocks of at most 2**_BLOCK_BITS words,
+    so memory does not grow with 2**rank. Each mode returns the words that
+    XORing all of its combinations would keep; words may repeat.
     """
     if _integer(r, "r") < 1:
         raise InvalidParams("locality must be positive")
+    most = r + 1
     if mode == ROWS_ONLY:
         blocks = [_pack_rows(h.array)]
     elif mode == BOUNDED_COMBOS:
-        blocks = _row_combinations(_pack_rows(h.array))
+        blocks = _pruned_combinations(_pack_rows(h.array), most)
     else:
         reduced, pivots, *_ = _record(h)
         if len(pivots) > DUAL_ENUM_RANK_CAP:
             raise DimensionTooLarge(
                 f"dual enumeration needs rank <= {DUAL_ENUM_RANK_CAP}, got {len(pivots)}"
             )
-        blocks = _span_blocks(_pack_rows(reduced[: len(pivots)]))
+        basis = _pack_rows(reduced[: len(pivots)])
+        if 2 * _sum_count(len(pivots), most) <= 2 ** len(pivots):
+            blocks = _sum_blocks(basis, most)
+        else:
+            blocks = _span_blocks(basis)
     kept = []
     for block in blocks:
         weights = np.bitwise_count(block).sum(axis=1, dtype=np.int64)
-        kept.append(block[(weights >= 1) & (weights <= r + 1)])
+        kept.append(block[(weights >= 1) & (weights <= most)])
     return np.concatenate(kept)
 
 
-def _row_combinations(rows: np.ndarray) -> Iterator[np.ndarray]:
-    """Blocks holding the XOR of every 1, 2 or 3 distinct packed rows, each
-    combination once: the rows, then per leading row one block of pairs and
-    one block of triples with the later rows."""
+def _pruned_combinations(rows: np.ndarray, most: int) -> Iterator[np.ndarray]:
+    """Blocks holding the XOR of 1, 2 or 3 distinct packed rows, each
+    combination at most once, leaving out only those heavier than ``most``.
+
+    With G_ab = |a & b| (_gram) and w_a = G_aa, a pair weighs exactly
+    w_a + w_b - 2 G_ab, and a triple weighs
+    w_a + w_b + w_c - 2 (G_ab + G_ac + G_bc) + 4 |a & b & c|, so at least
+    the same without the last term. The rows come whole, then the pairs of
+    weight <= ``most`` and the triples whose bound is <= ``most``. The
+    bounds of a block of leading rows a are compared at once over every
+    later b and c, about 2**_BLOCK_BITS of them."""
     yield rows
-    for first in range(rows.shape[0] - 1):
-        later = rows[first + 1 :]
-        yield later ^ rows[first]
-        a, b = np.triu_indices(later.shape[0], 1)
-        yield later[a] ^ later[b] ^ rows[first]
+    count, limbs = rows.shape
+    if count < 2:
+        return
+    # No word weighs more than 64 * limbs, so a larger most prunes nothing;
+    # capped, every term below stays far inside the Gram matrix's dtype.
+    most = min(most, 64 * limbs)
+    head = np.ascontiguousarray(rows[:, :2])
+    gram = _gram(rows)
+    weights = gram.diagonal()
+    twice = 2 * gram
+    pairs = np.triu(weights[:, None] + weights - twice <= most, 1)
+    yield from _xors(rows, head, np.nonzero(pairs), most)
+    # A bound with a term set to far or -far fails: it exceeds every sum
+    # of real terms. 2 G_bc is kept for b < c only.
+    far = 4 * (64 * limbs + most)
+    twice[np.tri(count, dtype=bool)] = -far
+    first = 0
+    while first < count - 2:
+        later = count - first - 1
+        last = min(first + max(1, 2**_BLOCK_BITS // later**2), count - 2)
+        # w_c - 2 G_ac over the later rows c, for c > a only.
+        share = weights[first + 1 :] - twice[first:last, first + 1 :]
+        share[np.tri(last - first, later, -1, dtype=bool)] = far
+        lead = share + (weights[first:last, None] - most)
+        light = lead[:, :, None] + share[:, None, :] <= twice[first + 1 :, first + 1 :]
+        a, rest = np.divmod(np.flatnonzero(light), later * later)
+        b, c = np.divmod(rest, later)
+        yield from _xors(rows, head, (a + first, b + first + 1, c + first + 1), most)
+        first = last
+
+
+def _gram(rows: np.ndarray) -> np.ndarray:
+    """The intersection counts |a & b| of every two packed rows, as the
+    popcounts of their ANDs: a block of rows against itself and the rows
+    after it at a time, mirrored below the diagonal. They are int32 while
+    the bounds built from them, at most 20 * 64 * limbs, fit."""
+    count, limbs = rows.shape
+    dtype = np.int32 if 20 * 64 * limbs < 2**31 else np.int64
+    gram = np.empty((count, count), dtype=dtype)
+    step = max(1, 2**_BLOCK_BITS // (count * limbs))
+    for first in range(0, count, step):
+        block = rows[first : first + step, None] & rows[first:]
+        counts = np.bitwise_count(block).sum(axis=2, dtype=dtype)
+        gram[first : first + step, first:] = counts
+        gram[first:, first : first + step] = counts.T
+    return gram
+
+
+def _xors(
+    rows: np.ndarray, head: np.ndarray, picks: tuple[np.ndarray, ...], most: int
+) -> Iterator[np.ndarray]:
+    """The XOR of the rows that the index arrays name at each position, in
+    blocks of at most 2**(_BLOCK_BITS - 1) words, so that a block and the
+    rows gathered into it hold at most 2**_BLOCK_BITS. ``head`` holds the
+    rows' first two limbs: a combination that weighs more than ``most``
+    there alone is left out unmade."""
+    step = 2 ** (_BLOCK_BITS - 1)
+    for start in range(0, picks[0].size, step):
+        chunk = [pick[start : start + step] for pick in picks]
+        if rows.shape[1] > head.shape[1]:
+            part = head[chunk[0]]
+            for more in chunk[1:]:
+                part ^= head[more]
+            light = np.bitwise_count(part).sum(axis=1) <= most
+            chunk = [pick[light] for pick in chunk]
+        words = rows[chunk[0]]
+        for more in chunk[1:]:
+            words ^= rows[more]
+        yield words
 
 
 def _candidate_table(

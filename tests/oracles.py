@@ -120,6 +120,62 @@ def candidates_by_brute_force(
     return tuple(sorted(found, key=sorted))
 
 
+def low_weight_words_unpruned(matrix: BitMatrix, r: int, mode: str) -> set[bytes]:
+    """The dual words of weight 1..r + 1 that search ``mode`` sees, as the
+    set of their rows packed into uint64 limbs (column j is bit j % 64 of
+    limb j // 64), found by XORing every combination the mode allows and
+    filtering afterwards: rows-only takes the rows of H, bounded-combos
+    every one, two or three distinct rows, and dual-enum walks the whole
+    row space as XOR combinations of the rows of rref(H), 2**16 words at a
+    time. This is the search as it stood before it was pruned."""
+    rows = _packed(matrix.array)
+    if mode == "rows-only":
+        blocks = [rows]
+    elif mode == "bounded-combos":
+        blocks = _every_row_combination(rows)
+    else:
+        reduced, pivots = rref_by_column_loop(matrix.array)
+        blocks = _span_walk(_packed(reduced[: len(pivots)]))
+    found = set()
+    for block in blocks:
+        weights = np.bitwise_count(block).sum(axis=1)
+        found.update(row.tobytes() for row in block[(weights >= 1) & (weights <= r + 1)])
+    return found
+
+
+def _packed(a: np.ndarray) -> np.ndarray:
+    padded = np.zeros((a.shape[0], -(-a.shape[1] // 64) * 64), dtype=np.uint8)
+    padded[:, : a.shape[1]] = a
+    return np.packbits(padded, axis=1, bitorder="little").view("<u8").astype(np.uint64)
+
+
+def _every_row_combination(rows: np.ndarray):
+    """The rows, then per leading row the XOR with every later row and with
+    every pair of later rows."""
+    yield rows
+    for first in range(rows.shape[0] - 1):
+        later = rows[first + 1 :]
+        yield later ^ rows[first]
+        a, b = np.triu_indices(later.shape[0], 1)
+        yield later[a] ^ later[b] ^ rows[first]
+
+
+def _span_walk(basis: np.ndarray):
+    """Every XOR combination of the basis rows: the combinations of the last
+    16 rows, offset by each combination of the others."""
+    high = max(basis.shape[0] - 16, 0)
+    low = _doubled(basis[high:])
+    for offset in _doubled(basis[:high]):
+        yield low ^ offset
+
+
+def _doubled(rows: np.ndarray) -> np.ndarray:
+    combos = np.zeros((1, rows.shape[1]), dtype=np.uint64)
+    for row in rows:
+        combos = np.concatenate([combos, combos ^ row])
+    return combos
+
+
 def solve_by_pivot_limit(a, b) -> np.ndarray | None:
     """One solution x of A x = b over GF(2) with every free variable zero,
     or None. Pivots are taken among the coefficient columns only, then

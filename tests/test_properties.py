@@ -20,6 +20,10 @@ over the colored own-color edges. Each example draws a family mixing
 groups G with sets G - {v} (closures shared across vertices), free random
 sets, repeated sets, one-member sets and vertices with no sets.
 
+The matrix file format: render_matrix writes the header and one line of
+digits per row, parse_matrix reads it back, and a header line that is not
+two positive ASCII integers is refused on line 1 whatever follows it.
+
 Monte Carlo rank blocks, one Philox draw and one argsort per block, against
 the oracle that draws each trial from a fresh Philox and ranks it with
 Python's sort. Seeds span the 128-bit key, n includes both sides of each
@@ -36,6 +40,7 @@ from lrckit import (
     BitMatrix,
     InvalidCodeword,
     InvalidParams,
+    ParseError,
     RecoveringFamily,
     build_graph,
     color_vertices,
@@ -43,6 +48,7 @@ from lrckit import (
     simulate_repair,
     systematic_encode,
 )
+from lrckit.cli import parse_matrix, render_matrix
 from lrckit.recovery_graph import _colors, _member_table, _trial_ranks, _walks_descend
 from lrckit.repair_sim import _fails_checks
 from oracles import (
@@ -261,3 +267,40 @@ def test_trial_ranks_match_a_fresh_philox_per_trial(case):
     expected = [seeded_permutation(seed, k, n) for k in range(first, first + count)]
     assert np.array_equal(ranks, np.stack(expected))
     assert (np.sort(ranks, axis=1) == np.arange(1, n + 1)).all()
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(
+    arrays(np.uint8, st.tuples(st.integers(1, 8), st.integers(1, 130)), elements=st.integers(0, 1))
+)
+def test_render_and_parse_round_trip(a):
+    h = BitMatrix(a)
+    text = render_matrix(h)
+    lines = [f"{a.shape[0]} {a.shape[1]}"] + ["".join(map(str, row)) for row in a.tolist()]
+    assert text == "\n".join(lines) + "\n"
+    assert parse_matrix(text) == h
+
+
+HEADER_CHARS = list("0123456789") + [" ", "\t", "+", "-", "_", "x", "\u0663", "\u00b2"]
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(
+    st.text(st.sampled_from(HEADER_CHARS), max_size=10)
+    | st.builds("{}{}{}".format, st.integers(0, 9), st.sampled_from(" \t"), st.integers(0, 80))
+)
+def test_parse_refuses_malformed_headers(header):
+    tokens = header.split()
+    valid = len(tokens) == 2 and all(t.strip("0123456789") == "" for t in tokens)
+    valid = valid and min(map(int, tokens)) >= 1
+    rows, cols = map(int, tokens) if valid else (1, 1)
+    # Rows of zeros that fit the header when it is small, else one "0" row.
+    fits = rows * cols <= 2**10
+    body = ("0" * cols + "\n") * rows if fits else "0\n"
+    try:
+        h = parse_matrix(header + "\n" + body)
+    except ParseError as error:
+        assert error.line > 1 if valid else error.line == 1
+        assert not fits or not valid
+    else:
+        assert valid and fits and h == BitMatrix(np.zeros((rows, cols), dtype=np.uint8))

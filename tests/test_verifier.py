@@ -188,8 +188,11 @@ def test_dual_enum_refuses_rank_above_cap_before_enumerating(monkeypatch):
         raise AssertionError("dual words enumerated past the rank cap")
 
     monkeypatch.setattr(verifier, "_span_blocks", no_enumeration)
-    with pytest.raises(DimensionTooLarge):
-        candidate_sets(BitMatrix(np.eye(21, dtype=np.uint8)), 1, 2, mode=DUAL_ENUM)
+    monkeypatch.setattr(verifier, "_sum_blocks", no_enumeration)
+    # r = 2 would take the reduced-row sums, r = 20 the walk of the row space.
+    for r in (2, 20):
+        with pytest.raises(DimensionTooLarge):
+            candidate_sets(BitMatrix(np.eye(21, dtype=np.uint8)), 1, r, mode=DUAL_ENUM)
 
 
 def test_resolve_search_mode():
