@@ -235,7 +235,10 @@ def _sum_blocks(basis: np.ndarray, most: int) -> Iterator[np.ndarray]:
     The sums of the last rows, as many rows as one block holds, are tabled
     by size. Each sum of the other rows, by size, then yields the table's
     sums small enough to join it, XORed with it. Memory is the table and one
-    block, whatever the rank."""
+    block, whatever the rank. With ``most`` at least the number of rows
+    these are all 2**rows sums, the last rows' table offset by each sum of
+    the others."""
+    most = min(most, basis.shape[0])
     low = basis.shape[0]
     while _sum_count(low, most) > 2**_BLOCK_BITS:
         low -= 1

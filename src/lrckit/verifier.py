@@ -24,9 +24,7 @@ from .gf2 import (
     _pack_rows,
     _parity_words,
     _record,
-    _span_blocks,
     _sum_blocks,
-    _sum_count,
     _unpack_rows,
     rank,
 )
@@ -125,12 +123,11 @@ def _low_weight_words(h: BitMatrix, r: int, mode: str) -> np.ndarray:
     three rows of H that can weigh at most r + 1 (_pruned_combinations).
     dual-enum, which checks rank <= DUAL_ENUM_RANK_CAP first: a word's bits
     at the pivots of rref(H) are its coefficients over the reduced rows, so
-    a word of weight <= r + 1 is a sum of at most r + 1 of them. Those sums
-    are enumerated (gf2._sum_blocks) when they number at most half the
-    2**rank words of the row space, which is walked whole otherwise
-    (gf2._span_blocks). Both stream blocks of at most 2**_BLOCK_BITS words,
-    so memory does not grow with 2**rank. Each mode returns the words that
-    XORing all of its combinations would keep; words may repeat.
+    a word of weight <= r + 1 is a sum of at most r + 1 of them, and only
+    those sums are made (gf2._sum_blocks), in blocks of at most
+    2**_BLOCK_BITS words, so memory does not grow with 2**rank. With
+    r + 1 >= rank they are the whole row space. Each mode returns the words
+    that XORing all of its combinations would keep; words may repeat.
     """
     if _integer(r, "r") < 1:
         raise InvalidParams("locality must be positive")
@@ -145,11 +142,7 @@ def _low_weight_words(h: BitMatrix, r: int, mode: str) -> np.ndarray:
             raise DimensionTooLarge(
                 f"dual enumeration needs rank <= {DUAL_ENUM_RANK_CAP}, got {len(pivots)}"
             )
-        basis = _pack_rows(reduced[: len(pivots)])
-        if 2 * _sum_count(len(pivots), most) <= 2 ** len(pivots):
-            blocks = _sum_blocks(basis, most)
-        else:
-            blocks = _span_blocks(basis)
+        blocks = _sum_blocks(_pack_rows(reduced[: len(pivots)]), most)
     kept = []
     for block in blocks:
         weights = np.bitwise_count(block).sum(axis=1, dtype=np.int64)
@@ -164,10 +157,13 @@ def _pruned_combinations(rows: np.ndarray, most: int) -> Iterator[np.ndarray]:
     With G_ab = |a & b| (_gram) and w_a = G_aa, a pair weighs exactly
     w_a + w_b - 2 G_ab, and a triple weighs
     w_a + w_b + w_c - 2 (G_ab + G_ac + G_bc) + 4 |a & b & c|, so at least
-    the same without the last term. The rows come whole, then the pairs of
-    weight <= ``most`` and the triples whose bound is <= ``most``. The
-    bounds of a block of leading rows a are compared at once over every
-    later b and c, about 2**_BLOCK_BITS of them."""
+    the same without the last term. The rows come whole, then per block of
+    leading rows a the pairs of weight <= ``most`` and the triples whose
+    bound is <= ``most``. The bounds are compared about 2**_BLOCK_BITS at a
+    time: a block of a against every later b and c, or, once the later rows
+    number more than 2**(_BLOCK_BITS / 2), one a against a slice of the b
+    and the c after them. Beyond that and the words, a pass holds G and
+    one mask of its shape."""
     yield rows
     count, limbs = rows.shape
     if count < 2:
@@ -176,35 +172,43 @@ def _pruned_combinations(rows: np.ndarray, most: int) -> Iterator[np.ndarray]:
     # capped, every term below stays far inside the Gram matrix's dtype.
     most = min(most, 64 * limbs)
     head = np.ascontiguousarray(rows[:, :2])
-    gram = _gram(rows)
-    weights = gram.diagonal()
-    twice = 2 * gram
-    pairs = np.triu(weights[:, None] + weights - twice <= most, 1)
-    yield from _xors(rows, head, np.nonzero(pairs), most)
+    twice = _gram(rows)
+    weights = twice.diagonal().copy()
+    twice *= 2
     # A bound with a term set to far or -far fails: it exceeds every sum
-    # of real terms. 2 G_bc is kept for b < c only.
+    # of real terms. 2 G_bc is kept for b < c only, where _gram set it.
     far = 4 * (64 * limbs + most)
     twice[np.tri(count, dtype=bool)] = -far
     first = 0
-    while first < count - 2:
+    while first < count - 1:
         later = count - first - 1
-        last = min(first + max(1, 2**_BLOCK_BITS // later**2), count - 2)
+        last = min(first + max(1, 2**_BLOCK_BITS // later**2), count - 1)
         # w_c - 2 G_ac over the later rows c, for c > a only.
         share = weights[first + 1 :] - twice[first:last, first + 1 :]
         share[np.tri(last - first, later, -1, dtype=bool)] = far
+        # The pair a, b weighs lead[a, b] + most.
         lead = share + (weights[first:last, None] - most)
-        light = lead[:, :, None] + share[:, None, :] <= twice[first + 1 :, first + 1 :]
-        a, rest = np.divmod(np.flatnonzero(light), later * later)
-        b, c = np.divmod(rest, later)
-        yield from _xors(rows, head, (a + first, b + first + 1, c + first + 1), most)
+        pairs = np.nonzero(lead <= 0)
+        yield from _xors(rows, head, (pairs[0] + first, pairs[1] + first + 1), most)
+        step = max(1, 2**_BLOCK_BITS // ((last - first) * later))
+        for b in range(0, later, step):
+            # Rows b to b + step of the later ones, against the c from b on.
+            light = (
+                lead[:, b : b + step, None] + share[:, None, b:]
+                <= twice[first + 1 + b : first + 1 + b + step, first + 1 + b :]
+            )
+            picks = np.unravel_index(np.flatnonzero(light), light.shape)
+            bases = (first, first + 1 + b, first + 1 + b)
+            yield from _xors(rows, head, tuple(p + o for p, o in zip(picks, bases)), most)
         first = last
 
 
 def _gram(rows: np.ndarray) -> np.ndarray:
-    """The intersection counts |a & b| of every two packed rows, as the
-    popcounts of their ANDs: a block of rows against itself and the rows
-    after it at a time, mirrored below the diagonal. They are int32 while
-    the bounds built from them, at most 20 * 64 * limbs, fit."""
+    """The intersection counts |a & b| of every two packed rows a <= b, as
+    the popcounts of their ANDs: a block of rows against itself and the
+    rows after it at a time. Below the diagonal the entries are left unset.
+    They are int32 while the bounds built from them, at most
+    20 * 64 * limbs, fit."""
     count, limbs = rows.shape
     dtype = np.int32 if 20 * 64 * limbs < 2**31 else np.int64
     gram = np.empty((count, count), dtype=dtype)
@@ -213,7 +217,6 @@ def _gram(rows: np.ndarray) -> np.ndarray:
         block = rows[first : first + step, None] & rows[first:]
         counts = np.bitwise_count(block).sum(axis=2, dtype=dtype)
         gram[first : first + step, first:] = counts
-        gram[first:, first : first + step] = counts.T
     return gram
 
 

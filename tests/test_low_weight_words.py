@@ -3,9 +3,9 @@ that XORs every combination its mode allows and filters afterwards.
 
 bounded-combos XORs only the pairs and triples of rows whose weight, or
 lower bound on it from the rows' intersection counts, is at most r + 1;
-dual-enum enumerates sums of at most r + 1 reduced rows where they are far
-fewer than the row space. Either must give the oracle's word set, compared
-as sets of packed rows, and hold at most about one block of words."""
+dual-enum enumerates the sums of at most r + 1 reduced rows. Either must
+give the oracle's word set, compared as sets of packed rows, and hold at
+most about one block of words beyond arrays the size of its input."""
 
 import tracemalloc
 
@@ -32,11 +32,10 @@ def _check(h, r, mode):
     return got
 
 
-def _seeded(n, seed, mixing):
-    """14 rows of weight 4 on n columns, mixed by a sparse unit lower
+def _seeded(n, seed, mixing, rows=14):
+    """``rows`` rows of weight 4 on n columns, mixed by a sparse unit lower
     triangular matrix (sums of a few rows, so triples can be light) or by a
     dense invertible one, and column-permuted."""
-    rows = 14
     rng = np.random.default_rng(seed)
     base = np.zeros((rows, n), dtype=np.int64)
     for k in range(rows):
@@ -52,27 +51,48 @@ def _seeded(n, seed, mixing):
 
 @pytest.mark.parametrize("mixing", ["sparse", "dense"])
 @pytest.mark.parametrize("n", [63, 64, 65, 105, 200])
-def test_pruned_words_match_oracle_on_seeded_matrices(n, mixing, monkeypatch):
+def test_pruned_words_match_oracle_on_seeded_matrices(n, mixing):
     # r + 1 runs from 2 to 12, over the weights of the light pairs and
-    # triples. At rank 14 dual-enum takes the reduced-row sums up to
-    # r + 1 = 6 and walks the row space from r + 1 = 7 on. Past two limbs
+    # triples; at rank 14 dual-enum's sums of at most r + 1 reduced rows
+    # run from a few hundred to nearly the whole row space. Past two limbs
     # (n = 200) bounded-combos screens each combination on its first 128
     # columns before XORing it whole.
     h = _seeded(n, n, mixing)
     assert rank(h) == 14
-    paths = []
-    for name in ("_sum_blocks", "_span_blocks"):
-        real = getattr(verifier, name)
-        monkeypatch.setattr(
-            verifier, name, lambda *args, real=real, name=name: paths.append(name) or real(*args)
-        )
     lengths = {BOUNDED_COMBOS: set(), DUAL_ENUM: set()}
     for r in range(1, 12):
         for mode in lengths:
             lengths[mode].add(len(_check(h, r, mode)))
     assert len(lengths[DUAL_ENUM]) > 2
     assert mixing == "dense" or len(lengths[BOUNDED_COMBOS]) > 2
-    assert set(paths) == {"_sum_blocks", "_span_blocks"}
+
+
+@pytest.mark.parametrize("r", [7, 9, 12, 17])
+def test_reduced_row_sums_past_one_block(r):
+    # At rank 18 the sums of at most r + 1 >= 8 reduced rows outnumber one
+    # block, so the trailing rows' table is offset by sums of the leading
+    # ones; at r + 1 = 18 they are the whole row space. Each sum is made
+    # once, in blocks of at most 2**_BLOCK_BITS words.
+    h = _seeded(70, 18, "dense", rows=18)
+    assert rank(h) == 18
+    reduced, pivots, *_ = gf2._record(h)
+    blocks = list(gf2._sum_blocks(gf2._pack_rows(reduced[:18]), r + 1))
+    assert len(blocks) > 1
+    assert max(len(block) for block in blocks) <= 2**gf2._BLOCK_BITS
+    assert sum(len(block) for block in blocks) == gf2._sum_count(18, r + 1)
+    _check(h, r, DUAL_ENUM)
+
+
+@pytest.mark.parametrize("r", [3, 5])
+def test_pruned_words_match_oracle_past_256_rows(r):
+    # 300 rows of weight 4 on 64 columns. Past 256 rows one leading row's
+    # triple bounds outnumber a block, so they are compared a slice of the
+    # later rows at a time; thousands of pairs and triples are light.
+    rng = np.random.default_rng(300)
+    h = np.zeros((300, 64), dtype=np.uint8)
+    for k in range(300):
+        h[k, rng.choice(64, size=4, replace=False)] = 1
+    assert len(_check(BitMatrix(h), r, BOUNDED_COMBOS)) > 4000
 
 
 def test_locality_past_every_weight_prunes_nothing():
@@ -145,24 +165,39 @@ def _canonical_xlrc743():
     return code.H, code.params.r, BOUNDED_COMBOS
 
 
-@pytest.mark.parametrize("make", [_study_rank_20, _canonical_xlrc743], ids=["rank20", "xlrc743"])
-def test_pruned_pass_holds_at_most_one_block(make, monkeypatch):
+def _transversal_529():
+    """The lines {(i, a + b i mod 23) : i < 4} of a 4 x 23 grid: 529 rows
+    of weight 4 on 92 columns, two of them meeting in at most one point, so
+    with r + 1 = 4 every pair weighs at least 6, every triple bound is at
+    least 6, and the light words are the rows. Past 256 rows one leading
+    row's triple bounds outnumber a block."""
+    q = 23
+    h = np.zeros((q * q, 4 * q), dtype=np.uint8)
+    for a in range(q):
+        for b in range(q):
+            h[a * q + b, [i * q + (a + b * i) % q for i in range(4)]] = 1
+    return BitMatrix(h), 3, BOUNDED_COMBOS
+
+
+@pytest.mark.parametrize(
+    "make",
+    [_study_rank_20, _canonical_xlrc743, _transversal_529],
+    ids=["rank20", "xlrc743", "transversal529"],
+)
+def test_pruned_pass_holds_at_most_one_block(make):
     # What a pass allocates beyond the words it returns stays within one
     # block of 2**_BLOCK_BITS packed words, whatever 2**rank or the number of
-    # triples. The rank-20 input must take the reduced-row sums.
+    # triples, plus, in bounded-combos, the intersection counts G of every
+    # two rows (rows**2 int32) and temporaries no larger in all than G.
     h, r, mode = make()
     gf2._record(h)
-
-    def no_walk(*args):
-        raise AssertionError("the row space was walked")
-
-    monkeypatch.setattr(verifier, "_span_blocks", no_walk)
     tracemalloc.start()
     try:
         words = verifier._low_weight_words(h, r, mode)
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # Each code's light words are its canonical rows, once each.
+    # Each input's light words are its rows, once each.
     assert len(words) == h.rows
-    assert peak - retained <= 2**gf2._BLOCK_BITS * words.shape[1] * 8
+    gram = 4 * h.rows**2 if mode == BOUNDED_COMBOS else 0
+    assert peak - retained <= 2**gf2._BLOCK_BITS * words.shape[1] * 8 + 2 * gram

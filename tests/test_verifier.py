@@ -187,9 +187,8 @@ def test_dual_enum_refuses_rank_above_cap_before_enumerating(monkeypatch):
     def no_enumeration(*args, **kwargs):
         raise AssertionError("dual words enumerated past the rank cap")
 
-    monkeypatch.setattr(verifier, "_span_blocks", no_enumeration)
     monkeypatch.setattr(verifier, "_sum_blocks", no_enumeration)
-    # r = 2 would take the reduced-row sums, r = 20 the walk of the row space.
+    # r = 2 would sum a few reduced rows, r = 20 all of them.
     for r in (2, 20):
         with pytest.raises(DimensionTooLarge):
             candidate_sets(BitMatrix(np.eye(21, dtype=np.uint8)), 1, r, mode=DUAL_ENUM)
