@@ -4,13 +4,13 @@ Matrices are immutable wrappers over numpy uint8 arrays; all elimination is
 XOR based. Codes are given by parity-check matrices H: the code is the right
 nullspace of H, the dual code is the row space of H. Span enumeration works
 on rows packed into uint64 limbs and streams fixed-size blocks. Each matrix
-is eliminated once: ``_record`` keeps rref(H), its pivots and the packed
-columns of repair's parity test for the last 64 matrices, and rank, rref,
-the nullspace, codeword and dual-word enumeration, the parity words,
-encoding and the parity test read it. The nullspace basis is built from it
-on each call. The parity-word kernel eliminates each distinct closure
-helpers + {target} once, for all the jobs that share it, over the reduced
-rows held as Python ints.
+is eliminated once, on its rows held as Python ints (bit c is column c):
+``_record`` keeps the rows of rref(H) in that form and their pivots for the
+last 64 matrices, and rank, rref, the nullspace, codeword and dual-word
+enumeration, the parity words, encoding and the parity test read it. rref,
+the nullspace basis and dual-word enumeration unpack the rows on each call.
+The parity-word kernel eliminates each distinct closure helpers + {target}
+once, for all the jobs that share it, over the reduced rows.
 """
 
 from __future__ import annotations
@@ -105,62 +105,62 @@ def _as_matrix(matrix: BitMatrix | np.ndarray | Sequence) -> BitMatrix:
     return BitMatrix(matrix)
 
 
-def _rref(a: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
-    """In-place reduced row echelon form, columns eliminated left to right,
-    stopping once the rows below the last pivot are zero. Returns (a, pivot
-    tuple)."""
-    rows, cols = a.shape
-    pivots: list[int] = []
-    r = 0
-    stale = True
-    for c in range(cols):
-        if r == rows:
-            break
-        hits = np.nonzero(a[r:, c])[0]
-        if hits.size == 0:
-            # Once rows r.. are zero no pivot is left. They change only when
-            # a pivot is taken, so they are tested once per pivot.
-            if stale:
-                if not a[r:].any():
-                    break
-                stale = False
-            continue
-        stale = True
-        p = r + int(hits[0])
-        if p != r:
-            a[[r, p]] = a[[p, r]]
-        others = np.nonzero(a[:, c])[0]
-        others = others[others != r]
-        if others.size:
-            a[others] ^= a[r]
-        pivots.append(c)
-        r += 1
-    return a, tuple(pivots)
+def _rref(rows: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Reduced row echelon form of rows held as Python ints, bit c being
+    column c. Each row is reduced by the rows kept so far; a nonzero
+    remainder is kept with its lowest set bit as pivot, which is cleared from
+    the kept rows. Returns the kept rows in pivot order and the pivots."""
+    kept: dict[int, int] = {}
+    pivot_bits = 0
+    for row in rows:
+        # A kept row has no 1 at any other pivot, so one pass clears them all.
+        hits = row & pivot_bits
+        while hits:
+            low = hits & -hits
+            row ^= kept[low.bit_length() - 1]
+            hits ^= low
+        if row:
+            low = row & -row
+            for c, other in kept.items():
+                if other & low:
+                    kept[c] = other ^ row
+            kept[low.bit_length() - 1] = row
+            pivot_bits |= low
+    pivots = tuple(sorted(kept))
+    return tuple(kept[c] for c in pivots), pivots
 
 
 class _Reduced(NamedTuple):
-    """One elimination of H, read-only: rref(H), the pivots and the nonzero
-    rows' columns as uint64 limbs, which check what H does."""
+    """One elimination of H: rref(H)'s rows as ints in pivot order, and their pivots."""
 
-    reduced: np.ndarray
+    rows: tuple[int, ...]
     pivots: tuple[int, ...]
-    columns: np.ndarray
 
 
 @lru_cache(maxsize=64)
 def _record(h: BitMatrix) -> _Reduced:
     """The one elimination of H, kept for each of the last 64 matrices."""
-    reduced, pivots = _rref(np.array(h.array))
-    columns = _pack_rows(reduced[: len(pivots)].T)
-    for array in (reduced, columns):
-        array.setflags(write=False)
-    return _Reduced(reduced, pivots, columns)
+    return _Reduced(*_rref(map(_int_row, h.array)))
+
+
+def _int_row(bits: np.ndarray) -> int:
+    """A 0/1 vector as a Python int: bit c is entry c."""
+    return int.from_bytes(np.packbits(bits, bitorder="little"), "little")
+
+
+def _bit_rows(rows: Sequence[int], cols: int) -> np.ndarray:
+    """Rows held as ints (see _int_row) as a uint8 array of ``cols`` columns."""
+    limbs = -(-cols // 64)
+    data = b"".join(row.to_bytes(8 * limbs, "little") for row in rows)
+    return _unpack_rows(np.frombuffer(data, "<u8").reshape(len(rows), limbs), cols)
 
 
 def rref(matrix: BitMatrix | np.ndarray) -> tuple[BitMatrix, tuple[int, ...]]:
-    """Reduced row echelon form over GF(2) and the pivot column indices."""
-    record = _record(_as_matrix(matrix))
-    return BitMatrix(record.reduced), record.pivots
+    """Reduced row echelon form over GF(2), H's shape with its zero rows
+    last, and the pivot column indices."""
+    h = _as_matrix(matrix)
+    rows, pivots = _record(h)
+    return BitMatrix(_bit_rows(rows + (0,) * (h.rows - len(rows)), h.cols)), pivots
 
 
 def rank(matrix: BitMatrix | np.ndarray) -> int:
@@ -177,12 +177,12 @@ def nullspace_basis(matrix: BitMatrix | np.ndarray) -> BitMatrix:
     0-row result. The basis is built from H's record on each call.
     """
     h = _as_matrix(matrix)
-    reduced, pivots, _ = _record(h)
+    rows, pivots = _record(h)
     free = np.delete(np.arange(h.cols), pivots)
     basis = np.zeros((free.size, h.cols), dtype=np.uint8)
     basis[np.arange(free.size), free] = 1
     # Pivot row ri reads c_p = sum over free f of R[ri, f] c_f.
-    basis[:, list(pivots)] = reduced[: len(pivots), free].T
+    basis[:, list(pivots)] = _bit_rows(rows, h.cols)[:, free].T
     return BitMatrix(basis)
 
 
@@ -353,9 +353,7 @@ def _parity_words(
     on the row space of H and its column order, not on its rows.
     """
     record = _record(h)
-    packed = np.packbits(record.reduced[: len(record.pivots)], axis=1, bitorder="little")
-    rows = [int.from_bytes(row.tobytes(), "little") for row in packed]
-    row_of = {c: k for k, c in enumerate(record.pivots)}
+    row_at = dict(zip(record.pivots, record.rows))
     # A word's helper columns lie among its job's helpers, so one array of
     # all the helpers' length holds every word, and no column is copied.
     columns = np.empty(sum(len(helpers) for _, helpers in jobs), dtype=np.intp)
@@ -371,7 +369,7 @@ def _parity_words(
         key = tuple(sorted((*helpers, target)))
         words = closed.get(key)
         if words is None:
-            words = closed[key] = _closed_words(rows, row_of, key)
+            words = closed[key] = _closed_words(row_at, key)
         for word, support in words:
             if word >> target & 1:
                 ids = list(support)
@@ -385,7 +383,7 @@ def _parity_words(
 
 
 def _closed_words(
-    rows: list[int], row_of: dict[int, int], key: tuple[int, ...]
+    row_at: dict[int, int], key: tuple[int, ...]
 ) -> list[tuple[int, list[int]]]:
     """The row-space words one elimination closes inside the closure
     ``key`` lists, in pivot order, each with its ascending support. The
@@ -397,8 +395,8 @@ def _closed_words(
     basis: dict[int, tuple[int, int]] = {}
     words = []
     # Pivots ascend, so the rows of the closure's pivots come in pivot order.
-    for row in [row_of[c] for c in closure if c in row_of]:
-        masked, word = _reduce(basis, rows[row] & keep, rows[row])
+    for row in [row_at[c] for c in closure if c in row_at]:
+        masked, word = _reduce(basis, row & keep, row)
         if masked:
             basis[masked.bit_length() - 1] = masked, word
         else:

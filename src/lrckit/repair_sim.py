@@ -3,14 +3,14 @@
 Each recovering set is realized by a parity word of the matrix through the
 erased coordinate; the lost symbol is the XOR of the helpers the word reads.
 Everything that does not depend on the codeword is cached. The matrix's
-record in ``gf2``, its one elimination, gives rref(H), whose free columns
-encode messages, and the reduced rows' columns, packed into 64-bit limbs,
-for the parity test. Per (matrix, family), the verifier's
-realizing-word table, built by the first repair or ``verify_family`` with
-one call of the parity-word kernel ``gf2._parity_words``, holds each set's
-helpers as one flat column array with offsets, each coordinate's helper
-loads, the shared (helper, bit) pairs and the sets that admit no parity
-word. So an encode is one product with rref(H)'s free columns. The last
+record in ``gf2``, its one elimination, gives the rows of rref(H) as
+Python ints, which fill a message's pivot columns and make the parity test.
+Per (matrix, family), the verifier's realizing-word table, built by the
+first repair or ``verify_family`` with one call of the parity-word kernel
+``gf2._parity_words``, holds each set's helpers as one flat column array
+with offsets, each coordinate's helper loads, the shared (helper, bit)
+pairs and the sets that admit no parity word. So an encode packs its word
+once and takes one parity per reduced row. The last
 (matrix, family, codeword) is kept repaired at every coordinate. A miss
 checks and sweeps the whole codeword, about 80-130 us at n = 224 and 1 ms at
 n = 1,320; a hit slices its coordinate's range, about 7-12 us at n = 224.
@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import InvalidCodeword, InvalidParams, _integer
-from .gf2 import BitMatrix, _as_matrix, _binary, _record
+from .gf2 import BitMatrix, _as_matrix, _binary, _int_row, _record
 from .verifier import RecoveringFamily, _realizing_helpers
 
 __all__ = ["RepairTrace", "systematic_encode", "simulate_repair"]
@@ -49,10 +49,10 @@ class RepairTrace:
 
 
 def _fails_checks(h: BitMatrix, cw: np.ndarray) -> bool:
-    """Whether the 0/1 uint8 vector ``cw`` fails a parity check of H: the
-    XOR of rref(H)'s packed columns at the ones of ``cw`` is its syndrome."""
-    ones = _record(h).columns[cw.view(bool)]
-    return bool(np.bitwise_xor.reduce(ones).any())
+    """Whether the 0/1 uint8 vector ``cw`` fails a parity check of H: it
+    does iff it meets some row of rref(H) in an odd number of ones."""
+    word = _int_row(cw)
+    return any((row & word).bit_count() & 1 for row in _record(h).rows)
 
 
 @lru_cache(maxsize=1)
@@ -83,12 +83,12 @@ def systematic_encode(h: BitMatrix | np.ndarray, message: Sequence[int]) -> np.n
     reduced parity-check matrix and fill the pivot columns to satisfy every
     check: pivot row ri of rref(H) gives its pivot bit as the sum of the
     message bits at the free columns where the row has a 1. That is the
-    message times the systematic nullspace basis. rref(H) is eliminated once
-    per matrix and kept for the last 64 matrices, so an encode is one
-    product with its free columns. The zero message encodes to the zero
-    codeword."""
+    message times the systematic nullspace basis. rref(H)'s rows are kept as
+    Python ints, so an encode packs the message, at the free columns, into
+    one int and takes pivot bit k as the parity of row k AND it. The zero
+    message encodes to the zero codeword."""
     h = _as_matrix(h)
-    reduced, pivots, _ = _record(h)
+    rows, pivots = _record(h)
     free = np.delete(np.arange(h.cols), pivots)
     msg = np.asarray(message)
     if msg.ndim != 1 or msg.shape[0] != free.size:
@@ -96,8 +96,8 @@ def systematic_encode(h: BitMatrix | np.ndarray, message: Sequence[int]) -> np.n
     msg = _binary(msg, InvalidParams, "message entries must be 0 or 1")
     word = np.zeros(h.cols, dtype=np.uint8)
     word[free] = msg
-    # uint8 sums wrap modulo 256, an even number, so their parity is exact.
-    word[list(pivots)] = (reduced[: len(pivots), free] @ msg) & 1
+    bits = _int_row(word)
+    word[list(pivots)] = [(row & bits).bit_count() & 1 for row in rows]
     return word
 
 

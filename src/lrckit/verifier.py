@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -20,6 +20,7 @@ from .errors import DimensionTooLarge, FamilyNotFound, InvalidParams, _integer
 from .gf2 import (
     BitMatrix,
     _as_matrix,
+    _bit_rows,
     _BLOCK_BITS,
     _pack_rows,
     _parity_words,
@@ -83,7 +84,7 @@ class RecoveringFamily:
             # copy it.
             sets = tuple(
                 s
-                if type(s) is frozenset and all(type(e) is int for e in s)
+                if type(s) is frozenset and {int}.issuperset(map(type, s))
                 else frozenset(_integer(e, label) for e in s)
                 for s in sets
             )
@@ -92,7 +93,7 @@ class RecoveringFamily:
                     raise InvalidParams(f"coordinate {i}: empty recovering set")
                 if i in s:
                     raise InvalidParams(f"coordinate {i}: set contains its own coordinate")
-                if any(not 1 <= e <= n for e in s):
+                if min(s) < 1 or max(s) > n:
                     raise InvalidParams(f"{label} out of range")
             normalized.append(sets)
         object.__setattr__(self, "sets_by_coordinate", tuple(normalized))
@@ -137,12 +138,12 @@ def _low_weight_words(h: BitMatrix, r: int, mode: str) -> np.ndarray:
     elif mode == BOUNDED_COMBOS:
         blocks = _pruned_combinations(_pack_rows(h.array), most)
     else:
-        reduced, pivots, *_ = _record(h)
+        rows, pivots = _record(h)
         if len(pivots) > DUAL_ENUM_RANK_CAP:
             raise DimensionTooLarge(
                 f"dual enumeration needs rank <= {DUAL_ENUM_RANK_CAP}, got {len(pivots)}"
             )
-        blocks = _sum_blocks(_pack_rows(reduced[: len(pivots)]), most)
+        blocks = _sum_blocks(_pack_rows(_bit_rows(rows, h.cols)), most)
     kept = []
     for block in blocks:
         weights = np.bitwise_count(block).sum(axis=1, dtype=np.int64)
@@ -392,9 +393,7 @@ def _realizing_helpers(h: BitMatrix, family: RecoveringFamily) -> _Realized:
         loads.append(load)
         unrealized += [(i, m - k + 1) for m in range(k, end) if not found[m]]
         k = end
-    pairs = np.empty(2 * h.cols, dtype=object)
-    for p in range(pairs.size):
-        pairs[p] = (p // 2 + 1, p % 2)
+    pairs = np.fromiter(product(range(1, h.cols + 1), (0, 1)), dtype=object, count=2 * h.cols)
     pairs.setflags(write=False)
     width = max(map(len, cuts))
     spans = np.array([c + c[-1:] * (width - len(c)) for c in cuts], dtype=np.intp)

@@ -1,0 +1,87 @@
+"""The summary of tools/ab_pairs.py on canned run results: each side's
+median and quartiles, the change's wins in the direction BENCHMARK.json
+gives, the bound check, the alternating run order and the exit status."""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+@pytest.fixture(scope="module")
+def ab_pairs():
+    path, bytecode = list(sys.path), sys.dont_write_bytecode
+    sys.path.insert(0, str(TOOLS))
+    sys.dont_write_bytecode = True
+    try:
+        import ab_pairs
+    finally:
+        sys.path[:], sys.dont_write_bytecode = path, bytecode
+    return ab_pairs
+
+
+METRICS = [
+    {"name": "cpu_s", "better": "lower", "bound": 0.25},
+    {"name": "throughput_per_s", "better": "higher", "bound": 0.25},
+]
+
+
+def _result(cpu_s, throughput, correct=True):
+    metrics = {"cpu_s": cpu_s, "throughput_per_s": throughput}
+    return {"correct": correct, "metrics": {k: {"value": v} for k, v in metrics.items()}}
+
+
+def test_metrics_come_from_the_benchmark(ab_pairs):
+    names = [m["name"] for m in ab_pairs.end_to_end_metrics()]
+    assert names == ["setup_s", "cpu_s", "peak_rss_mb", "throughput_per_s"]
+
+
+def test_quartiles_of_one_and_of_five(ab_pairs):
+    assert ab_pairs.quartiles([3.0]) == (3.0, 3.0, 3.0)
+    assert ab_pairs.quartiles([5.0, 1.0, 4.0, 2.0, 3.0]) == (2.0, 3.0, 4.0)
+
+
+def test_wins_follow_the_better_direction(ab_pairs):
+    # The change halves cpu_s in every pair; throughput ties in one pair
+    # and is lower in the other two.
+    pairs = [
+        (_result(1.0, 100.0), _result(0.5, 100.0)),
+        (_result(2.0, 100.0), _result(1.0, 90.0)),
+        (_result(3.0, 100.0), _result(1.5, 99.0)),
+    ]
+    lines = ab_pairs.summarize(METRICS, pairs)
+    assert not any("WORSE" in line for line in lines)
+    assert lines[0].split() == (
+        "cpu_s parent 2 [1.5-2.5] change 1 [0.75-1.25] x0.500 change better in 3/3".split()
+    )
+    assert lines[1].endswith("x0.990  change better in 0/3")
+
+
+def test_a_shift_past_the_bound_is_worse(ab_pairs):
+    # cpu_s up by 30% and throughput down by 20%: only cpu_s is past 0.25.
+    pairs = [(_result(1.0, 100.0), _result(1.3, 80.0))] * 2
+    lines = ab_pairs.summarize(METRICS, pairs)
+    assert lines[0].endswith("WORSE than bound 0.25")
+    assert "WORSE" not in lines[1]
+
+
+@pytest.mark.parametrize("correct", [True, False])
+def test_runs_alternate_and_an_incorrect_run_fails(ab_pairs, monkeypatch, capsys, correct):
+    calls = []
+
+    def canned(checkout, workload, seed, seconds):
+        calls.append(str(checkout))
+        ok = correct or len(calls) != 3
+        return _result(1.0, 10.0, ok) if checkout == Path("p") else _result(0.9, 11.0, ok)
+
+    monkeypatch.setattr(ab_pairs, "end_to_end_metrics", lambda: METRICS)
+    monkeypatch.setattr(ab_pairs, "run_once", canned)
+    argv = ["--parent", "p", "--change", "c", "--workload", "study", "--pairs", "3"]
+    assert ab_pairs.main(argv + ["--aa", "q"]) == (0 if correct else 1)
+    assert calls == ["p", "c", "c", "p", "p", "c", "p", "q"]
+    out = capsys.readouterr().out
+    assert "cpu_s             parent 1 [1-1]  change 0.9 [0.9-0.9]  x0.900" in out
+    assert "change better in 3/3" in out
+    assert out.count("pair ") == 8

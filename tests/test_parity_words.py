@@ -394,14 +394,31 @@ def test_kernel_eliminates_once_per_distinct_closure(monkeypatch):
     assert all(np.array_equal(x, y) for x, y in zip(got, want))
 
 
+def test_record_keeps_only_the_reduced_rows():
+    # Row-mixed xlrc(7,4,3): 165 rows, n = 1,320, rank 120. A cold record
+    # keeps rref(H)'s 120 rows as Python ints, about 200 bytes each, and the
+    # pivots: 26 KiB. An array of rref(H) beside its packed columns took
+    # 235 KiB.
+    h = BitMatrix(_presented_xlrc743())
+    gf2._record.cache_clear()
+    tracemalloc.start()
+    try:
+        record = gf2._record(h)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(record.pivots) == 120
+    assert retained <= 64 * 2**10
+
+
 def test_kernel_memory_stays_below_one_dense_word_array():
     # Canonical xlrc(7,4,3): n = 1,320, 165 rows and 5,280 jobs, so one
     # (jobs, n) uint8 array of words would take 6,806 KiB, and 1,701 KiB
     # for a quarter of the jobs. The kernel solves one job at a time and
     # returns only their helper columns, so apart from those its peak stays
     # below two copies of H (425 KiB), for a quarter of the jobs as for all.
-    # The record it reads, rref(H) and its packed columns, stays below that
-    # too: it keeps no k x n nullspace basis (1,547 KiB here).
+    # The record it reads, rref(H)'s rows, stays below that too: it keeps
+    # no k x n nullspace basis (1,547 KiB here).
     code = build_xlrc(7, 4, 3)
     jobs = _table_jobs(canonical_family(code))
     h = code.H

@@ -9,10 +9,15 @@ array is re-encoded, flipped in place, given a non-bit entry or passed on
 unchanged, and each call hands it over in one of several forms. Every
 result, trace or error, must equal the oracle's.
 
-Encoding and the packed parity test against the syndrome product, on
+Encoding and the parity test against the syndrome product, on
 matrices with duplicate and zero rows: every encoded word passes, its
 message sits at the free columns, and each flipped word fails exactly when
 the product says so.
+
+rref and rank, which eliminate rows held as Python ints, against the
+column loop, on 0 to 12 rows at widths on either side of a 64-bit limb or
+narrower than the rows, with repeated and zero rows; the rows fed in
+reverse give the same reduced form, which is unique.
 
 Coloring, which takes the maximum rank of each distinct closure S + {v}
 once, against the rule read literally, and the walk check against a DFS
@@ -45,6 +50,7 @@ from lrckit import (
     build_graph,
     color_vertices,
     rank,
+    rref,
     simulate_repair,
     systematic_encode,
 )
@@ -138,7 +144,7 @@ def _outcome(call):
     return erased, recoveries, values, list(load.items())
 
 
-@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@settings(max_examples=90, derandomize=True, database=None, deadline=None)
 @given(scenarios())
 def test_repair_matches_uncached_oracle(scenario):
     pairs, steps = scenario
@@ -179,7 +185,7 @@ def encodings(draw):
     return BitMatrix(np.array(rows)), draw(st.integers(0, 2**n - 1)), flips
 
 
-@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@settings(max_examples=110, derandomize=True, database=None, deadline=None)
 @given(encodings())
 def test_encode_and_parity_test_match_product(case):
     h, bits, flips = case
@@ -193,6 +199,36 @@ def test_encode_and_parity_test_match_product(case):
     for j in flips:
         word[j] ^= 1
         assert _fails_checks(h, word) == fails_parity_by_product(h, word)
+
+
+@st.composite
+def eliminations(draw):
+    """A matrix of 0 to 12 rows at a width on either side of a 64-bit limb
+    edge or narrower than its rows, each row drawn dense or with at most
+    three ones, a copy of an earlier row or zero."""
+    n = draw(st.sampled_from((1, 2, 5, 63, 64, 65, 128, 129)))
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(("dense", "sparse") * 3 + ("copy", "zero")))
+        row = np.zeros(n, dtype=np.uint8)
+        if kind == "copy" and rows:
+            row = rows[draw(st.integers(0, len(rows) - 1))]
+        elif kind == "dense":
+            row = draw(arrays(np.uint8, n, elements=st.integers(0, 1)))
+        elif kind == "sparse":
+            row[sorted(draw(st.sets(st.integers(0, n - 1), max_size=3)))] = 1
+        rows.append(row)
+    return np.array(rows, dtype=np.uint8).reshape(len(rows), n)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(eliminations())
+def test_rref_and_rank_match_column_loop(a):
+    want, pivots = rref_by_column_loop(a)
+    assert rref(a) == (BitMatrix(want), pivots)
+    assert rank(a) == len(pivots)
+    # A reduced row echelon form is unique, so the rows in reverse give it too.
+    assert rref(a[::-1]) == (BitMatrix(want), pivots)
 
 
 @st.composite
@@ -224,7 +260,7 @@ def colorings(draw):
     return family, np.array(ranks), np.array(fake)
 
 
-@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@settings(max_examples=110, derandomize=True, database=None, deadline=None)
 @given(colorings())
 def test_coloring_matches_rule_and_walks_match_dfs(scenario):
     family, ranks, fake = scenario
