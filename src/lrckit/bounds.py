@@ -172,8 +172,9 @@ def table2() -> tuple[RateComparisonRow, ...]:
 
 
 def decimal4(value: Fraction) -> str:
-    """Exact four-decimal rendering, ties to even (never via float)."""
-    if value < 0:
-        raise InvalidParams("negative values are not rendered")
-    scaled = round(value * 10000)
-    return f"{scaled // 10000}.{scaled % 10000:04d}"
+    """Exact four-decimal rendering, ties to even (never via float). A
+    negative value is its magnitude, rounded the same way, after a "-"
+    (f is negative on some cells with t >= 4 and x >= 1)."""
+    scaled = round(abs(value) * 10000)
+    sign = "-" if value < 0 else ""
+    return f"{sign}{scaled // 10000}.{scaled % 10000:04d}"

@@ -8,20 +8,21 @@ Python ints, which fill a message's pivot columns and make the parity test.
 Per (matrix, family), the verifier's realizing-word table, built by the
 first repair or ``verify_family`` with one call of the parity-word kernel
 ``gf2._parity_words``, holds each set's helpers as one flat column array
-with offsets, each coordinate's helper loads, the shared (helper, bit)
-pairs and the sets that admit no parity word. So an encode packs its word
-once and takes one parity per reduced row. The last
+with offsets, each coordinate's helper loads as a read-only mapping, the
+shared (helper, bit) pairs and the sets that admit no parity word. So an
+encode packs its word once and takes one parity per reduced row. The last
 (matrix, family, codeword) is kept repaired at every coordinate. A miss
 checks and sweeps the whole codeword, about 80-130 us at n = 224 and 1 ms at
-n = 1,320; a hit slices its coordinate's range, about 7-12 us at n = 224.
-Codeword-major callers pay one miss per codeword, coordinate-major ones one per call.
+n = 1,320; a hit slices its coordinate's range and hands the trace its
+coordinate's shared load mapping, about 5 us at n = 224, so a trace
+allocates only itself. Codeword-major callers pay one miss per codeword,
+coordinate-major ones one per call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,13 +34,18 @@ __all__ = ["RepairTrace", "systematic_encode", "simulate_repair"]
 _NOT_BITS = "codeword entries must be 0 or 1"
 
 
-@dataclass(frozen=True, eq=False)
-class RepairTrace:
+class RepairTrace(NamedTuple):
     """One erased coordinate repaired independently by each of its sets.
 
     ``recoveries[j]`` lists the (helper, value read) pairs used by set j + 1,
     helpers ascending; ``recovered_values[j]`` is their XOR. ``helper_load``
-    counts how many sets read each helper.
+    counts how many sets read each helper, keys ascending. It is a read-only
+    mapping that every trace of the coordinate shares with the realizing-word
+    table, since the loads depend only on (H, family): assigning into it
+    raises TypeError, and ``dict(trace.helper_load)`` gives a private copy.
+    A trace is a named tuple: it unpacks as (erased, recoveries,
+    recovered_values, helper_load), compares by value, and is unhashable,
+    because its mapping is.
     """
 
     erased: int
@@ -117,14 +123,15 @@ def simulate_repair(
     the cost at n = 224: repeat callers pass a BitMatrix.
     """
     h = _as_matrix(h)
-    if family.n != h.cols:
+    n = h.cols
+    if family.n != n:
         raise InvalidParams("family length does not match matrix columns")
     erased = _integer(erased, "erased")
-    if not 1 <= erased <= h.cols:
-        raise InvalidParams(f"erased coordinate {erased} out of range 1..{h.cols}")
+    if not 1 <= erased <= n:
+        raise InvalidParams(f"erased coordinate {erased} out of range 1..{n}")
     cw = np.asarray(codeword)
-    if cw.ndim != 1 or cw.shape[0] != h.cols:
-        raise InvalidParams(f"codeword must have length {h.cols}")
+    if cw.ndim != 1 or cw.shape[0] != n:
+        raise InvalidParams(f"codeword must have length {n}")
     if cw.dtype != np.uint8:
         cw = _binary(cw, InvalidCodeword, _NOT_BITS)
     table, index, recovered = _swept(h, family, cw.tobytes())
@@ -133,8 +140,8 @@ def simulate_repair(
     start = (erased - 1) * (table.spans.shape[1] - 1)
     pairs = table.pairs[index[lo : cuts[-1]]].tolist()
     return RepairTrace(
-        erased=erased,
-        recoveries=tuple([tuple(pairs[a - lo : b - lo]) for a, b in zip(cuts, cuts[1:])]),
-        recovered_values=tuple(recovered[start : start + len(cuts) - 1]),
-        helper_load=table.loads[erased - 1].copy(),
+        erased,
+        tuple([tuple(pairs[a - lo : b - lo]) for a, b in zip(cuts, cuts[1:])]),
+        tuple(recovered[start : start + len(cuts) - 1]),
+        table.loads[erased - 1],
     )

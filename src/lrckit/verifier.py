@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Iterator, NamedTuple
+from types import MappingProxyType
+from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -249,11 +250,15 @@ def _candidate_table(
 ) -> tuple[tuple[frozenset[int], ...], ...]:
     """Candidate recovering sets of every coordinate, as candidate_sets
     returns them, from one pass over the low-weight dual words of the
-    resolved ``mode``."""
+    resolved ``mode``. A word of weight 1 is skipped: its coordinate is 0 in
+    every codeword, and the empty set it would give is no recovering set a
+    family may hold. That coordinate takes its sets from heavier words."""
     n = h.cols
     found: list[set[frozenset[int]]] = [set() for _ in range(n)]
     for bits in _unpack_rows(_low_weight_words(h, r, mode), n):
         support = frozenset(int(j) + 1 for j in np.flatnonzero(bits))
+        if len(support) == 1:
+            continue
         for i in support:
             found[i - 1].add(support - {i})
     return tuple(tuple(sorted(sets, key=sorted)) for sets in found)
@@ -263,10 +268,10 @@ def candidate_sets(
     h: BitMatrix | np.ndarray, i: int, r: int, mode: str = ROWS_ONLY
 ) -> tuple[frozenset[int], ...]:
     """Candidate recovering sets for 1-based coordinate i: supports of dual
-    words of weight <= r + 1 containing i, minus i itself. Deduplicated and
-    sorted lexicographically. With the same ``mode`` this is row i of the
-    table discover_family searches; note that the defaults differ
-    (rows-only here, AUTO there). AUTO resolves as in resolve_search_mode.
+    words of weight 2..r + 1 containing i, minus i itself, so never empty.
+    Deduplicated and sorted lexicographically. With the same ``mode`` this
+    is row i of the table discover_family searches; note that the defaults
+    differ (rows-only here, AUTO there). AUTO resolves as in resolve_search_mode.
     A plain-array H is wrapped anew on each call (a copy, a bit check and a
     hash); repeat callers pass a BitMatrix."""
     h = _as_matrix(h)
@@ -344,8 +349,8 @@ class _Realized(NamedTuple):
     each set of coordinate i + 1 starts in ``columns``, then where its last
     set ends. ``spans`` is the cuts as one array, each row padded with its
     last cut (a set that reads nothing). ``loads[i]`` maps each helper of
-    coordinate i + 1, ascending, to how many of its sets read it; a repair
-    trace gets a copy.
+    coordinate i + 1, ascending, to how many of its sets read it, as a
+    read-only view that every repair trace of the coordinate shares.
     ``pairs[2 * c + b]`` is the (helper, bit) pair ``(c + 1, b)``, an object
     array whose tuples every repair trace shares. ``unrealized`` lists the
     1-based (coordinate, set) pairs that admit no parity word, in order.
@@ -354,7 +359,7 @@ class _Realized(NamedTuple):
     columns: np.ndarray
     cuts: tuple[tuple[int, ...], ...]
     spans: np.ndarray
-    loads: tuple[dict[int, int], ...]
+    loads: tuple[Mapping[int, int], ...]
     pairs: np.ndarray
     unrealized: tuple[tuple[int, int], ...]
 
@@ -365,7 +370,8 @@ def _realizing_helpers(h: BitMatrix, family: RecoveringFamily) -> _Realized:
     repair share: the parity word of every recovering set, all found by one
     call of the parity-word kernel gf2._parity_words, over H's one
     elimination. Each coordinate's loads come from one counting pass over
-    its helper columns, sorted so that the keys ascend. Counting one
+    its helper columns, sorted so that the keys ascend, and are wrapped once
+    in a read-only view, which repair hands to its traces. Counting one
     coordinate at a time keeps the build from holding an array with an
     entry per helper read beside ``columns``, and sorting in Python keeps
     numpy's sort code out of the process's resident memory."""
@@ -390,7 +396,7 @@ def _realizing_helpers(h: BitMatrix, family: RecoveringFamily) -> _Realized:
         load: dict[int, int] = {}
         for j in sorted(columns[bounds[k] : bounds[end]].tolist()):
             load[j + 1] = load.get(j + 1, 0) + 1
-        loads.append(load)
+        loads.append(MappingProxyType(load))
         unrealized += [(i, m - k + 1) for m in range(k, end) if not found[m]]
         k = end
     pairs = np.fromiter(product(range(1, h.cols + 1), (0, 1)), dtype=object, count=2 * h.cols)

@@ -102,8 +102,9 @@ def candidates_by_brute_force(
 ) -> tuple[frozenset[int], ...]:
     """Candidate recovering sets for 1-based coordinate i, straight from the
     definition: XOR every allowed subset of the rows of H, keep each word with
-    a 1 at i and weight <= r + 1, and return its support minus i, 1-based,
-    deduplicated and sorted like candidate_sets. dual-enum may combine every
+    a 1 at i and weight 2..r + 1, and return its support minus i, 1-based,
+    deduplicated and sorted like candidate_sets. A recovering set is never
+    empty, so a word of weight 1 gives none. dual-enum may combine every
     row, so this walks 2**rows subsets.
     """
     depth = _MODE_DEPTH[mode] or matrix.rows
@@ -115,7 +116,7 @@ def candidates_by_brute_force(
             for k in combo:
                 word ^= rows[k]
             support = frozenset(int(j) + 1 for j in np.flatnonzero(word))
-            if i in support and len(support) <= r + 1:
+            if i in support and 2 <= len(support) <= r + 1:
                 found.add(support - {i})
     return tuple(sorted(found, key=sorted))
 

@@ -1,6 +1,7 @@
 """The summary of tools/ab_pairs.py on canned run results: each side's
 median and quartiles, the change's wins in the direction BENCHMARK.json
-gives, the bound check, the alternating run order and the exit status."""
+gives, the bound check, the alternating run order, the digest check and the
+exit status."""
 
 import sys
 from pathlib import Path
@@ -28,9 +29,13 @@ METRICS = [
 ]
 
 
-def _result(cpu_s, throughput, correct=True):
+def _result(cpu_s, throughput, correct=True, digest="d0"):
     metrics = {"cpu_s": cpu_s, "throughput_per_s": throughput}
-    return {"correct": correct, "metrics": {k: {"value": v} for k, v in metrics.items()}}
+    return {
+        "correct": correct,
+        "metrics": {k: {"value": v} for k, v in metrics.items()},
+        "digest": digest,
+    }
 
 
 def test_metrics_come_from_the_benchmark(ab_pairs):
@@ -85,3 +90,43 @@ def test_runs_alternate_and_an_incorrect_run_fails(ab_pairs, monkeypatch, capsys
     assert "cpu_s             parent 1 [1-1]  change 0.9 [0.9-0.9]  x0.900" in out
     assert "change better in 3/3" in out
     assert out.count("pair ") == 8
+
+
+def test_a_run_is_read_with_its_digest(ab_pairs):
+    stdout = "\n".join([
+        "lrcbench repair-stream seed=0 rounds=3 untraced",
+        "  digest a5e2",
+        'record {"workload": "repair-stream", "digest": "a5e2", "seed": 0}',
+        '{"correct": true, "attempted": 3, "failed": 0, "metrics": {}}',
+    ])
+    assert ab_pairs.read_run(stdout + "\n") == {
+        "correct": True, "attempted": 3, "failed": 0, "metrics": {}, "digest": "a5e2"
+    }
+
+
+@pytest.mark.parametrize("differs", [None, 1, 3])
+def test_a_pair_whose_digests_differ_fails(ab_pairs, monkeypatch, capsys, differs):
+    # The change's run in pair ``differs`` (pair 3 is the A/A pair) gives
+    # another digest; every run is correct.
+    calls = []
+
+    def canned(checkout, workload, seed, seconds):
+        calls.append(str(checkout))
+        pair = (len(calls) - 1) // 2
+        odd = pair == differs and checkout in (Path("c"), Path("q"))
+        return _result(1.0, 10.0, digest="d1" if odd else "d0")
+
+    monkeypatch.setattr(ab_pairs, "end_to_end_metrics", lambda: METRICS)
+    monkeypatch.setattr(ab_pairs, "run_once", canned)
+    argv = ["--parent", "p", "--change", "c", "--workload", "study", "--pairs", "3"]
+    assert ab_pairs.main(argv + ["--aa", "q"]) == (0 if differs is None else 1)
+    out = capsys.readouterr().out
+    if differs is None:
+        assert "DIGEST" not in out
+    else:
+        other = "change" if differs == 1 else "copy"
+        assert out.count("DIGEST DIFFERS") == 1
+        assert f"pair {differs} DIGEST DIFFERS: parent d0 {other} d1\n" in out
+    change = "d0 d1" if differs == 1 else "d0"
+    assert "parent digests: d0\n" in out
+    assert f"change digests: {change}\n" in out

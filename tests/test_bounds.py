@@ -126,6 +126,17 @@ def test_decimal4_rounding():
     assert decimal4(Fraction(375, 20000)) == "0.0188"
 
 
+def test_decimal4_negative_values():
+    # A negative value is its magnitude, rounded the same way, after a "-".
+    assert decimal4(Fraction(-1, 2)) == "-0.5000"
+    assert decimal4(Fraction(-23, 336)) == "-0.0685"
+    assert decimal4(Fraction(-3, 2)) == "-1.5000"
+    # ties round the magnitude to even in the fourth decimal
+    assert decimal4(Fraction(-25, 20000)) == "-0.0012"
+    assert decimal4(Fraction(-375, 20000)) == "-0.0188"
+    assert decimal4(f_value(1, 4, 1)) == "-0.5000"
+
+
 def test_bound_report_structure():
     report = bound_report(3, 2, 1)
     assert report.n_upper_by_j == (3, 6)

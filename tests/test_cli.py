@@ -128,10 +128,28 @@ def test_bounds_table2_csv(capsys):
     assert len(lines) == 7
 
 
+def test_bounds_renders_a_negative_f(capsys):
+    # f < 0 at t >= 4 and x >= 1 on some cells, so R* exceeds 1 there.
+    assert main(["bounds", "1", "4", "1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines()[-2:] == ["f = -1/2 = -0.5000", "R* = 3/2 = 1.5000"]
+
+
 def test_bounds_requires_one_selection(capsys):
     assert main(["bounds", "--table1", "--table2"]) == 2
     assert main(["bounds"]) == 2
     assert main(["bounds", "3", "2"]) == 2
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+def test_coordinate_fixed_at_zero_is_repaired(tmp_path, capsys, command):
+    # Coordinate 2 is 0 in every codeword; its set comes from 1111.
+    path = _write_matrix(tmp_path, [[0, 1, 0, 0], [1, 0, 1, 1]])
+    assert main([command, path, "3", "1", "0"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "result: ok" in captured.out
 
 
 def test_verify_ok(tmp_path, capsys):
@@ -237,6 +255,19 @@ def test_graph_exhaustive(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "exact expected colored fraction = 1/3 = 0.3333" in out
     assert "expectation >= f: PASS" in out
+
+
+@pytest.mark.parametrize("extra", [[], ["--exhaustive"]])
+def test_graph_with_a_negative_f(tmp_path, capsys, extra):
+    # xlrc(1,5,1) is the (3,5,1) code of n = 12, where f is negative.
+    assert main(["construct", "xlrc", "1", "5", "1", "--out", str(tmp_path / "h.txt")]) == 0
+    capsys.readouterr()
+    assert main(["graph", str(tmp_path / "h.txt"), "3", "5", "1"] + extra) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith("f(3,5,1) = -23/336 = -0.0685\n")
+    assert "expectation >= f: PASS" in captured.out
+    assert "structural subset sweep: 20/20 passed" in captured.out
 
 
 def test_graph_exhaustive_cap(tmp_path, capsys):

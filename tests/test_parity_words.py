@@ -18,6 +18,7 @@ from lrckit import (
     canonical_family,
     discover_family,
     simulate_repair,
+    systematic_encode,
 )
 from lrckit import gf2, verifier
 from oracles import parity_word_by_reduced_rows, parity_word_by_row_loop, words_inside
@@ -368,6 +369,28 @@ def test_table_build_transient_memory_stays_below_its_columns(spec):
     finally:
         tracemalloc.stop()
     assert peak - retained <= table.columns.nbytes
+
+
+def test_repair_traces_retain_only_themselves():
+    # The repair-stream code, n = 224. With the table built and another
+    # codeword kept, one codeword repaired at every coordinate retains its
+    # sweep (an index as large as the table's columns, 121 KiB) and the
+    # traces. Each trace shares its coordinate's loads with the table, so
+    # the traces hold no copy of them (224 copies would take about 500 KiB).
+    h, family = _presented(5, 3, 3)
+    k = h.cols - gf2.rank(h)
+    messages = np.random.default_rng(31).integers(0, 2, size=(2, k), dtype=np.uint8)
+    warm, word = (systematic_encode(h, m) for m in messages)
+    simulate_repair(h, family, warm, 1)
+    table = verifier._realizing_helpers(h, family)
+    tracemalloc.start()
+    try:
+        traces = [simulate_repair(h, family, word, i) for i in range(1, h.cols + 1)]
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(traces) == h.cols
+    assert retained <= 3 * table.columns.nbytes
 
 
 def test_kernel_eliminates_once_per_distinct_closure(monkeypatch):

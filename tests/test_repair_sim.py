@@ -318,12 +318,35 @@ def test_repair_matches_parity_word_oracle(spec):
         for i in range(1, h.cols + 1):
             trace = simulate_repair(h, family, word, i)
             _same_trace(trace, repair_trace_by_parity_word(h, family, word, i, words))
-    # Each trace owns its load dict: changing one leaves the next intact.
+    # The loads depend only on (H, family): the traces of a coordinate share
+    # one read-only mapping, which no trace can change.
     first = simulate_repair(h, family, word, 1)
-    first.helper_load.clear()
+    with pytest.raises(TypeError):
+        first.helper_load[next(iter(first.helper_load))] = 0
     second = simulate_repair(h, family, word, 1)
-    assert second.helper_load is not first.helper_load
+    assert second.helper_load is first.helper_load
     _same_trace(second, repair_trace_by_parity_word(h, family, word, 1, words))
+
+
+def test_trace_is_a_named_tuple():
+    # Traces compare by value and unpack; the shared mapping makes them
+    # unhashable.
+    code = build_xlrc(2, 3, 1)
+    h, family = _presented(code, seed=6)
+    word = systematic_encode(h, np.ones(code.params.k, dtype=np.uint8))
+    first = simulate_repair(h, family, word, 2)
+    second = simulate_repair(h, family, word.tolist(), 2)
+    assert first == second and first is not second
+    assert first != simulate_repair(h, family, word, 3)
+    erased, recoveries, values, load = first
+    assert (erased, recoveries, values, load) == (
+        first.erased, first.recoveries, first.recovered_values, first.helper_load
+    )
+    assert repair_sim.RepairTrace._fields == (
+        "erased", "recoveries", "recovered_values", "helper_load"
+    )
+    with pytest.raises(TypeError):
+        hash(first)
 
 
 def _raised(call):

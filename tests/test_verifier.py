@@ -2,6 +2,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lrckit import (
     BitMatrix,
@@ -224,6 +225,50 @@ def test_discover_family_on_single_parity_check():
     for i in range(1, 5):
         expected = frozenset(range(1, 5)) - {i}
         assert family.sets_by_coordinate[i - 1] == (expected,)
+
+
+def test_coordinate_fixed_at_zero_takes_sets_from_heavier_words():
+    # The row 0100 is a dual word of weight 1: coordinate 2 is 0 in every
+    # codeword. The empty set it would give is no recovering set, so
+    # coordinate 2 takes {1, 3, 4} from the word 1111 = 0100 + 1011.
+    h = BitMatrix([[0, 1, 0, 0], [1, 0, 1, 1]])
+    assert candidate_sets(h, 2, 3, mode=DUAL_ENUM) == (frozenset({1, 3, 4}),)
+    assert candidate_sets(h, 2, 3, mode=ROWS_ONLY) == ()
+    family = discover_family(h, 3, 1, 0)
+    assert family.sets_by_coordinate == (
+        (frozenset({2, 3, 4}),),
+        (frozenset({1, 3, 4}),),
+        (frozenset({1, 2, 4}),),
+        (frozenset({1, 2, 3}),),
+    )
+    assert verify_family(h, family, 3, 1, 0).ok
+
+
+@st.composite
+def _small_codes(draw):
+    """A random H of up to 6 rows and 12 columns, zero rows and columns
+    allowed, with (r, t, x) for r <= 4, t <= 3 and x <= min(r, 2)."""
+    n = draw(st.integers(2, 12))
+    rows = draw(st.integers(1, 6))
+    bits = draw(st.lists(st.integers(0, 1), min_size=rows * n, max_size=rows * n))
+    r = draw(st.integers(1, 4))
+    params = (r, draw(st.integers(1, 3)), draw(st.integers(0, min(r, 2))))
+    return BitMatrix(np.array(bits, dtype=np.uint8).reshape(rows, n)), params
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(_small_codes())
+def test_exhaustive_discovery_raises_only_family_not_found(code):
+    # A dual word of weight 1 is common on such matrices. Discovery either
+    # finds a family that verifies or says that none exists; it never
+    # builds a family the constructor refuses.
+    h, (r, t, x) = code
+    try:
+        family = discover_family(h, r, t, x, mode=DUAL_ENUM)
+    except FamilyNotFound as exc:
+        assert exc.exhaustive
+        return
+    assert verify_family(h, family, r, t, x).ok
 
 
 def test_discover_family_rejects_excess_availability():

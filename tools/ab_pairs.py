@@ -8,15 +8,18 @@ once in the parent checkout and once in the change checkout, each from its
 own directory, alternating which runs first (ABBA). ``--aa DIR``, a second
 copy of the parent, adds one A/A pair after them: the parent against that
 copy, which shows how far identical code moves between runs. The final JSON
-line of every run is read and printed.
+line of every run is read and printed, with the output digest of its
+``record`` line.
 
 For each end-to-end metric that BENCHMARK.json lists, the summary gives
 each side's median and quartiles, in how many pairs the change reads
 better (the direction comes from the metric's ``better``; ties count for
 neither side), and whether the change's median is worse than the parent's
-by more than the metric's bound. The exit status is 1 if any run reports
-``correct: false``, else 0. The tool writes no file; each run writes its
-own record under its checkout's ``lrcbench/out/``.
+by more than the metric's bound. It then prints each side's digests. A
+pair whose two runs give different digests is marked DIGEST DIFFERS: the
+change altered an output. The exit status is 1 if any run reports
+``correct: false`` or any pair's digests differ, else 0. The tool writes no
+file; each run writes its own record under its checkout's ``lrcbench/out/``.
 """
 
 from __future__ import annotations
@@ -37,11 +40,21 @@ def end_to_end_metrics(path: Path = BENCHMARK) -> list[dict]:
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
-    """One untraced benchmark run in ``checkout``; its final JSON line."""
+    """One untraced benchmark run in ``checkout``: its final JSON line, with
+    the ``digest`` of its ``record {...}`` line added."""
     command = [sys.executable, "lrcbench/run.py", "--workload", workload, "--seed", str(seed)]
     command += ["--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(command, cwd=checkout, capture_output=True, text=True, check=True)
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    return read_run(done.stdout)
+
+
+def read_run(stdout: str) -> dict:
+    """A run's final JSON line, with the ``digest`` of its record line."""
+    lines = stdout.strip().splitlines()
+    result = json.loads(lines[-1])
+    record = next(line for line in lines if line.startswith("record "))
+    result["digest"] = json.loads(record.removeprefix("record "))["digest"]
+    return result
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -98,15 +111,28 @@ def main(argv: list[str] | None = None) -> int:
         print(f"pair {pair} {label:<6} correct={result['correct']} {values}", flush=True)
         return result
 
+    def same_digest(pair: int, parent: dict, other: dict, label: str) -> bool:
+        if parent["digest"] == other["digest"]:
+            return True
+        print(
+            f"pair {pair} DIGEST DIFFERS: parent {parent['digest']} {label} {other['digest']}",
+            flush=True,
+        )
+        return False
+
     pairs = []
     for k in range(args.pairs):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         results = {label: run(label, sides[label], k) for label in order}
         pairs.append((results["parent"], results["change"]))
+        correct = same_digest(k, results["parent"], results["change"], "change") and correct
     print(f"{args.workload} seed {args.seed}, {args.pairs} pairs, medians [quartiles]:")
     print("\n".join(summarize(metrics, pairs)))
+    for label, side in (("parent", 0), ("change", 1)):
+        print(f"{label} digests: {' '.join(sorted({p[side]['digest'] for p in pairs}))}")
     if args.aa is not None:
         same = (run("parent", args.parent, args.pairs), run("copy", args.aa, args.pairs))
+        correct = same_digest(args.pairs, *same, "copy") and correct
         print("A/A pair, copy against parent:")
         for name in names:
             a, b = (r["metrics"][name]["value"] for r in same)
