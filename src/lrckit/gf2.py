@@ -2,13 +2,16 @@
 
 Matrices are immutable wrappers over numpy uint8 arrays; all elimination is
 XOR based. Codes are given by parity-check matrices H: the code is the right
-nullspace of H, the dual code is the row space of H. Span enumeration works
-on rows packed into uint64 limbs and streams fixed-size blocks. Each matrix
-is eliminated once, on its rows held as Python ints (bit c is column c):
-``_record`` keeps the rows of rref(H) in that form and their pivots for the
-last 64 matrices, and rank, rref, the nullspace, codeword and dual-word
-enumeration, the parity words, encoding and the parity test read it. rref,
-the nullspace basis and dual-word enumeration unpack the rows on each call.
+nullspace of H, the dual code is the row space of H. One enumerator,
+``_sum_blocks``, makes the XOR sums of rows packed into uint64 limbs and
+streams them in fixed-size blocks: the codewords are all sums of the
+nullspace basis, the low-weight dual words the small sums of rref(H)'s
+rows. Each matrix is eliminated once, on its rows held as Python ints (bit
+c is column c): ``_record`` keeps the rows of rref(H) in that form and their
+pivots for the last 64 matrices, and rank, rref, the nullspace, codeword and
+dual-word enumeration, the parity words, encoding and the parity test read
+it. rref and the nullspace basis unpack the rows on each call; dual-word
+enumeration packs them straight into limbs.
 The parity-word kernel eliminates each distinct closure helpers + {target}
 once, for all the jobs that share it, over the reduced rows.
 """
@@ -148,11 +151,12 @@ def _int_row(bits: np.ndarray) -> int:
     return int.from_bytes(np.packbits(bits, bitorder="little"), "little")
 
 
-def _bit_rows(rows: Sequence[int], cols: int) -> np.ndarray:
-    """Rows held as ints (see _int_row) as a uint8 array of ``cols`` columns."""
+def _limbs(rows: Sequence[int], cols: int) -> np.ndarray:
+    """Rows held as ints (see _int_row) as _pack_rows packs ``cols`` columns,
+    read-only."""
     limbs = -(-cols // 64)
     data = b"".join(row.to_bytes(8 * limbs, "little") for row in rows)
-    return _unpack_rows(np.frombuffer(data, "<u8").reshape(len(rows), limbs), cols)
+    return np.frombuffer(data, "<u8").reshape(len(rows), limbs)
 
 
 def rref(matrix: BitMatrix | np.ndarray) -> tuple[BitMatrix, tuple[int, ...]]:
@@ -160,7 +164,8 @@ def rref(matrix: BitMatrix | np.ndarray) -> tuple[BitMatrix, tuple[int, ...]]:
     last, and the pivot column indices."""
     h = _as_matrix(matrix)
     rows, pivots = _record(h)
-    return BitMatrix(_bit_rows(rows + (0,) * (h.rows - len(rows)), h.cols)), pivots
+    rows += (0,) * (h.rows - len(rows))
+    return BitMatrix(_unpack_rows(_limbs(rows, h.cols), h.cols)), pivots
 
 
 def rank(matrix: BitMatrix | np.ndarray) -> int:
@@ -182,7 +187,7 @@ def nullspace_basis(matrix: BitMatrix | np.ndarray) -> BitMatrix:
     basis = np.zeros((free.size, h.cols), dtype=np.uint8)
     basis[np.arange(free.size), free] = 1
     # Pivot row ri reads c_p = sum over free f of R[ri, f] c_f.
-    basis[:, list(pivots)] = _bit_rows(rows, h.cols)[:, free].T
+    basis[:, list(pivots)] = _unpack_rows(_limbs(rows, h.cols), h.cols)[:, free].T
     return BitMatrix(basis)
 
 
@@ -201,25 +206,6 @@ def _unpack_rows(packed: np.ndarray, cols: int) -> np.ndarray:
     """Inverse of _pack_rows: uint8 rows of length ``cols``."""
     as_bytes = packed.astype("<u8").view(np.uint8)
     return np.unpackbits(as_bytes, axis=1, count=cols, bitorder="little")
-
-
-def _xor_combinations(rows: np.ndarray) -> np.ndarray:
-    """All 2**len(rows) XOR combinations of packed rows, by doubling, in
-    information-vector order (first row = most significant bit)."""
-    combos = np.zeros((1, rows.shape[1]), dtype=np.uint64)
-    for row in rows[::-1]:
-        combos = np.concatenate([combos, combos ^ row])
-    return combos
-
-
-def _span_blocks(basis: np.ndarray) -> Iterator[np.ndarray]:
-    """Every XOR combination of the packed basis rows, in blocks of at most
-    2**_BLOCK_BITS rows, in information-vector order. Memory is one block
-    plus the 2**(dim - _BLOCK_BITS) block offsets, whatever the dimension."""
-    high = max(basis.shape[0] - _BLOCK_BITS, 0)
-    low = _xor_combinations(basis[high:])
-    for offset in _xor_combinations(basis[:high]):
-        yield low ^ offset
 
 
 def _sum_count(rows: int, most: int) -> int:
@@ -275,14 +261,16 @@ def _sum_table(rows: np.ndarray, most: int) -> tuple[np.ndarray, list[int]]:
 def iter_codeword_blocks(
     matrix: BitMatrix | np.ndarray, max_dim: int = ENUMERATION_CAP
 ) -> Iterator[np.ndarray]:
-    """Yield the codewords of the nullspace of H in blocks of at most
-    2**_BLOCK_BITS rows, in information-vector order; raises
+    """Yield every codeword of the nullspace of H once, in blocks of at most
+    2**_BLOCK_BITS rows: all sums of the basis rows, by _sum_blocks. Raises
     DimensionTooLarge past ``max_dim`` before enumerating anything."""
+    max_dim = _integer(max_dim, "max_dim")
     basis = nullspace_basis(matrix).array
-    if basis.shape[0] > max_dim:
-        raise DimensionTooLarge(f"code dimension {basis.shape[0]} exceeds cap {max_dim}")
-    for block in _span_blocks(_pack_rows(basis)):
-        yield _unpack_rows(block, basis.shape[1])
+    dim, cols = basis.shape
+    if dim > max_dim:
+        raise DimensionTooLarge(f"code dimension {dim} exceeds cap {max_dim}")
+    for block in _sum_blocks(_pack_rows(basis), dim):
+        yield _unpack_rows(block, cols)
 
 
 def recovery_parity_word(

@@ -21,8 +21,8 @@ from .errors import DimensionTooLarge, FamilyNotFound, InvalidParams, _integer
 from .gf2 import (
     BitMatrix,
     _as_matrix,
-    _bit_rows,
     _BLOCK_BITS,
+    _limbs,
     _pack_rows,
     _parity_words,
     _record,
@@ -144,7 +144,7 @@ def _low_weight_words(h: BitMatrix, r: int, mode: str) -> np.ndarray:
             raise DimensionTooLarge(
                 f"dual enumeration needs rank <= {DUAL_ENUM_RANK_CAP}, got {len(pivots)}"
             )
-        blocks = _sum_blocks(_pack_rows(_bit_rows(rows, h.cols)), most)
+        blocks = _sum_blocks(_limbs(rows, h.cols), most)
     kept = []
     for block in blocks:
         weights = np.bitwise_count(block).sum(axis=1, dtype=np.int64)

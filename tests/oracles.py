@@ -4,10 +4,14 @@ Everything here is deliberately naive: exhaustive search over canonical
 configurations, no shared code paths with the package. There are two
 exceptions, each resting on a path that is itself checked against an oracle
 here. min_distance streams codewords through the package's
-iter_codeword_blocks, checked against codewords_by_brute_force. The repair
-oracles take their parity words from recovery_parity_word, checked against
-parity_word_by_reduced_rows, which follows the package's rule for which
-word a set gets. parity_word_by_row_loop, the rule before it (the first
+iter_codeword_blocks, which sums the nullspace basis with the same
+enumerator as dual-enum discovery and is checked against
+codewords_by_brute_force and, as a set, against every message times the
+basis. _span_walk, the unpruned dual-enum reference, walks all 2**dim sums
+in information-vector order and shares no code with that enumerator. The
+repair oracles take their parity words from recovery_parity_word, checked
+against parity_word_by_reduced_rows, which follows the package's rule for
+which word a set gets. parity_word_by_row_loop, the rule before it (the first
 fitting row of H, else a solve over all rows of H), still checks whether a
 word exists and, where a set has only one, which. The coloring oracles run
 the package's coloring kernel over every ranking, checked against

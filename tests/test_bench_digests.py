@@ -3,8 +3,10 @@
 One in-process, untraced round per lrcbench workload must finish without a
 failed operation and reproduce the digest of its outputs. Started with cold
 caches, it must eliminate each distinct matrix once: the nine study codes
-and the one repair-stream code. The benchmark modules are imported as they
-stand, without writing bytecode next to them.
+and the one repair-stream code. The traced study round, the one that also
+enumerates codewords and times the parity words, must reproduce the same
+digest and its counts. The benchmark modules are imported as they stand,
+without writing bytecode next to them.
 """
 
 import sys
@@ -32,15 +34,15 @@ def bench():
     sys.dont_write_bytecode = True
     try:
         import workloads
-        from tracing import NullTracer
+        from tracing import NullTracer, Tracer
     finally:
         sys.path[:], sys.dont_write_bytecode = path, bytecode
-    return workloads, NullTracer
+    return workloads, NullTracer, Tracer
 
 
 @pytest.mark.parametrize("workload", sorted(DIGESTS))
 def test_seed_zero_digest(bench, workload, monkeypatch):
-    workloads, null_tracer = bench
+    workloads, null_tracer, _ = bench
     eliminations = 0
     rref = gf2._rref
 
@@ -57,3 +59,13 @@ def test_seed_zero_digest(bench, workload, monkeypatch):
     assert result.failures == []
     assert result.attempted > 0
     assert result.digest() == DIGESTS[workload]
+
+
+def test_traced_study_round(bench):
+    workloads, _, tracer = bench
+    tr = tracer()
+    result = workloads.study(0, tr)
+    assert result.failures == []
+    assert result.digest() == DIGESTS["study"]
+    assert tr.counts["gf2.codewords_enumerated"] == 1_131_008
+    assert tr.counts["gf2.recovery_parity_word_calls"] == 1_806

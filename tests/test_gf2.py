@@ -226,16 +226,24 @@ def test_iter_codeword_blocks_is_the_nullspace():
             assert tuple(map(int, (u ^ v))) in rows
 
 
-def test_enumeration_order_crosses_block_boundary():
-    # Dimension 17 spans two 2**16-row blocks.
+def test_enumeration_crosses_block_boundary():
+    # Dimension 17 takes more than one 2**16-row block. Every codeword comes
+    # once; the order of the words is not part of the contract.
     rng = np.random.default_rng(17)
     h = BitMatrix(rng.integers(0, 2, size=(7, 24), dtype=np.uint8))
     basis = nullspace_basis(h).array.astype(np.int64)
     dim = basis.shape[0]
     assert dim == 17
-    messages = (np.arange(1 << dim)[:, None] >> np.arange(dim - 1, -1, -1)) & 1
+    messages = (np.arange(1 << dim)[:, None] >> np.arange(dim)) & 1
     expected = (messages @ basis) & 1
-    assert np.array_equal(_codewords(h), expected)
+    blocks = list(iter_codeword_blocks(h))
+    assert len(blocks) > 1
+    assert max(len(block) for block in blocks) <= 2**16
+    # Each 24-bit word as one integer key.
+    weights = 1 << np.arange(h.cols)
+    got = np.vstack(blocks) @ weights
+    assert len(np.unique(got)) == len(got)
+    assert np.array_equal(np.sort(got), np.sort(expected @ weights))
     assert min_distance(h) == expected[1:].sum(axis=1).min()
 
 

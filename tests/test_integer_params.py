@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lrckit import (
+    BitMatrix,
     InvalidParams,
     RecoveringFamily,
     build_wzl,
@@ -23,6 +24,7 @@ from lrckit import (
     simulate_repair,
     verify_family,
 )
+from lrckit.gf2 import iter_codeword_blocks
 
 CODE = build_xlrc(2, 2, 1)
 FAMILY = canonical_family(CODE)
@@ -47,6 +49,10 @@ CALLS = {
     "candidate_sets": lambda v: candidate_sets(CODE.H, v, 3),
     "candidate_sets_r": lambda v: candidate_sets(CODE.H, 1, v),
     "discover_family": lambda v: discover_family(CODE.H, 5, v, 1),
+    # Dimension 2, so max_dim=2 enumerates instead of raising DimensionTooLarge.
+    "iter_codeword_blocks": lambda v: [
+        block.tolist() for block in iter_codeword_blocks(BitMatrix([[1, 1, 1]]), v)
+    ],
     "recovery_parity_word": lambda v: recovery_parity_word(CODE.H, v, ROW_0).tolist(),
     "recovery_parity_word_helper": lambda v: recovery_parity_word(
         CODE.H, 0, [v, 1, 3, 4, 5]

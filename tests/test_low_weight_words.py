@@ -75,8 +75,8 @@ def test_reduced_row_sums_past_one_block(r):
     # once, in blocks of at most 2**_BLOCK_BITS words.
     h = _seeded(70, 18, "dense", rows=18)
     assert rank(h) == 18
-    reduced = gf2._bit_rows(gf2._record(h).rows, h.cols)
-    blocks = list(gf2._sum_blocks(gf2._pack_rows(reduced), r + 1))
+    reduced = gf2._limbs(gf2._record(h).rows, h.cols)
+    blocks = list(gf2._sum_blocks(reduced, r + 1))
     assert len(blocks) > 1
     assert max(len(block) for block in blocks) <= 2**gf2._BLOCK_BITS
     assert sum(len(block) for block in blocks) == gf2._sum_count(18, r + 1)

@@ -23,7 +23,11 @@ Coloring, which takes the maximum rank of each distinct closure S + {v}
 once, against the rule read literally, and the walk check against a DFS
 over the colored own-color edges. Each example draws a family mixing
 groups G with sets G - {v} (closures shared across vertices), free random
-sets, repeated sets, one-member sets and vertices with no sets.
+sets, repeated sets, one-member sets and vertices with no sets. On such
+families of at most 7 vertices, the peeling structural sweep against
+structural_check on every subset of the colored set, for colorings by the
+rule and colored sets that ignore it, and the inclusion-exclusion
+expectation against the kernel run over all n! rankings.
 
 The matrix file format: render_matrix writes the header and one line of
 digits per row, parse_matrix reads it back, and a header line that is not
@@ -43,15 +47,18 @@ from hypothesis.extra.numpy import arrays
 
 from lrckit import (
     BitMatrix,
+    ColoringOutcome,
     InvalidCodeword,
     InvalidParams,
     ParseError,
     RecoveringFamily,
     build_graph,
     color_vertices,
+    exhaustive_expected_fraction,
     rank,
     rref,
     simulate_repair,
+    structural_sweep,
     systematic_encode,
 )
 from lrckit.cli import parse_matrix, render_matrix
@@ -59,6 +66,7 @@ from lrckit.recovery_graph import _colors, _member_table, _trial_ranks, _walks_d
 from lrckit.repair_sim import _fails_checks
 from oracles import (
     colors_by_rule,
+    expected_colored_fraction_by_permutations,
     fails_parity_by_product,
     members_by_color,
     mono_walks_acyclic,
@@ -66,6 +74,7 @@ from oracles import (
     repair_trace_by_parity_word,
     rref_by_column_loop,
     seeded_permutation,
+    sweep_by_subsets,
 )
 
 MAX_COLS = 70
@@ -232,11 +241,11 @@ def test_rref_and_rank_match_column_loop(a):
 
 
 @st.composite
-def colorings(draw):
-    """A family on 2 to 16 vertices, a few rankings, and per ranking a
+def colorings(draw, most=16):
+    """A family on 2 to ``most`` vertices, a few rankings, and per ranking a
     coloring that may break the rule: each vertex gets 0 or one of its
     colors."""
-    n = draw(st.integers(2, 16))
+    n = draw(st.integers(2, most))
     vertex = st.integers(1, n)
     sets: list[list[frozenset[int]]] = [[] for _ in range(n)]
 
@@ -281,6 +290,24 @@ def test_coloring_matches_rule_and_walks_match_dfs(scenario):
         )
         assert ok == descends
         assert mono_walks_acyclic(members, [int(c) or None for c in row]) or not ok
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(colorings(most=7))
+def test_sweep_and_expected_fraction_match_enumeration(scenario):
+    family, ranks, fake = scenario
+    graph = build_graph(family)
+    # Colorings by the rule, and colored sets that ignore it, where some
+    # subset can meet every color of each of its vertices.
+    for tau, row in zip(ranks, fake):
+        real = color_vertices(graph, family, tau)
+        colors = tuple(int(c) or None for c in row)
+        colored = frozenset(v + 1 for v, c in enumerate(row) if c)
+        for outcome in (real, ColoringOutcome(tuple(tau), colors, colored)):
+            assert structural_sweep(family, outcome) == sweep_by_subsets(graph, family, outcome)
+    assert exhaustive_expected_fraction(graph, family) == (
+        expected_colored_fraction_by_permutations(family)
+    )
 
 
 @st.composite

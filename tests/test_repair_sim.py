@@ -468,7 +468,8 @@ def test_encode_eliminates_once_per_matrix(monkeypatch):
     record = gf2._record(h)
     reduced, pivots = rref_by_column_loop(h.array)
     assert record.pivots == pivots
-    assert np.array_equal(gf2._bit_rows(record.rows, h.cols), reduced[: len(pivots)])
+    rows = gf2._unpack_rows(gf2._limbs(record.rows, h.cols), h.cols)
+    assert np.array_equal(rows, reduced[: len(pivots)])
     assert gf2._record.cache_info().maxsize == 64
     assert verifier._realizing_helpers.cache_info().maxsize == 64
     assert repair_sim._swept.cache_info().maxsize == 1

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -10,11 +11,15 @@ from lrckit import (
     FamilyNotFound,
     InvalidParams,
     RecoveringFamily,
+    build_graph,
     build_wzl,
     build_xlrc,
     candidate_sets,
     canonical_family,
     discover_family,
+    exhaustive_expected_fraction,
+    rank,
+    rate_upper,
     recovery_parity_word,
     verify_family,
 )
@@ -261,7 +266,9 @@ def _small_codes(draw):
 def test_exhaustive_discovery_raises_only_family_not_found(code):
     # A dual word of weight 1 is common on such matrices. Discovery either
     # finds a family that verifies or says that none exists; it never
-    # builds a family the constructor refuses.
+    # builds a family the constructor refuses. A code with a family obeys
+    # both rate bounds: R*, a theorem for t <= 3, and 1 - E, the expected
+    # uncolored fraction of the family's coloring experiment.
     h, (r, t, x) = code
     try:
         family = discover_family(h, r, t, x, mode=DUAL_ENUM)
@@ -269,6 +276,9 @@ def test_exhaustive_discovery_raises_only_family_not_found(code):
         assert exc.exhaustive
         return
     assert verify_family(h, family, r, t, x).ok
+    rate = Fraction(h.cols - rank(h), h.cols)
+    assert rate <= rate_upper(r, t, x)
+    assert rate <= 1 - exhaustive_expected_fraction(build_graph(family), family)
 
 
 def test_discover_family_rejects_excess_availability():
