@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,13 +28,12 @@ from .errors import (
 )
 from .gf2 import BitMatrix, rank
 from .recovery_graph import (
-    _seed,
-    _trial_ranks,
     build_graph,
     color_vertices,
     exhaustive_expected_fraction,
     monte_carlo_colored_fraction,
     structural_sweep,
+    trial_permutation,
 )
 from .repair_sim import simulate_repair, systematic_encode
 from .verifier import AUTO, DUAL_ENUM, discover_family, resolve_search_mode, verify_family
@@ -105,6 +105,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "recoverable codes with overlapping recovering sets.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # The arguments of every subcommand that searches a matrix's family.
+    matrix_args = argparse.ArgumentParser(add_help=False)
+    matrix_args.add_argument("matrix")
+    matrix_args.add_argument("r", type=int)
+    matrix_args.add_argument("t", type=int)
+    matrix_args.add_argument("x", type=int)
 
     p = sub.add_parser("construct", help="build a parity-check matrix")
     p.add_argument("kind", choices=("wzl", "xlrc"))
@@ -120,11 +126,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "csv"), default="text")
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("verify", help="discover and check a recovering-set family")
-    p.add_argument("matrix")
-    p.add_argument("r", type=int)
-    p.add_argument("t", type=int)
-    p.add_argument("x", type=int)
+    p = sub.add_parser(
+        "verify", parents=[matrix_args], help="discover and check a recovering-set family"
+    )
     p.add_argument("--deep", action="store_true", help="also check codeword separation")
     p.add_argument(
         "--mode",
@@ -133,21 +137,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("graph", help="random-permutation coloring experiment")
-    p.add_argument("matrix")
-    p.add_argument("r", type=int)
-    p.add_argument("t", type=int)
-    p.add_argument("x", type=int)
+    p = sub.add_parser(
+        "graph", parents=[matrix_args], help="random-permutation coloring experiment"
+    )
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--exhaustive", action="store_true", help="exact expectation")
     p.set_defaults(func=cmd_graph)
 
-    p = sub.add_parser("simulate", help="erasure repair sweep")
-    p.add_argument("matrix")
-    p.add_argument("r", type=int)
-    p.add_argument("t", type=int)
-    p.add_argument("x", type=int)
+    p = sub.add_parser("simulate", parents=[matrix_args], help="erasure repair sweep")
     p.add_argument("--samples", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_simulate)
@@ -297,8 +295,9 @@ def cmd_graph(args: argparse.Namespace) -> int:
         ok = ok and stats.walk_failures == 0
     perms = _SWEEP_PERMUTATIONS if args.exhaustive else min(_SWEEP_PERMUTATIONS, args.trials)
     passed = 0
-    # The sweep's permutations are trials 0.. of the seed, drawn as one block.
-    for ranks in _trial_ranks(_seed(args.seed), range(perms), graph.n):
+    # The sweep's permutations are trials 0.. of the seed.
+    for k in range(perms):
+        ranks = trial_permutation(args.seed, k, graph.n)
         passed += structural_sweep(family, color_vertices(graph, family, ranks))
     print(_fraction_line(f"f({args.r},{args.t},{args.x})", threshold))
     print("\n".join(lines))
@@ -320,8 +319,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     print(f"samples={args.samples} seed={args.seed}")
     successes = 0
     recoveries = 0
-    histogram: dict[int, int] = {}
-    max_load = 0
+    histogram: Counter[int] = Counter()
     for idx in range(args.samples):
         rng = np.random.default_rng((args.seed, idx))
         message = rng.integers(0, 2, size=dim, dtype=np.uint8)
@@ -332,14 +330,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             for value in trace.recovered_values:
                 recoveries += 1
                 successes += value == truth
-            for load in trace.helper_load.values():
-                histogram[load] = histogram.get(load, 0) + 1
-                max_load = max(max_load, load)
+            histogram.update(trace.helper_load.values())
     pct = 100.0 * successes / recoveries if recoveries else 0.0
     print(f"recoveries: {recoveries}  successes: {successes} ({pct:.2f}%)")
     hist = " ".join(f"{load}:{histogram[load]}" for load in sorted(histogram))
     print(f"helper load histogram: {hist}")
-    print(f"max helper load: {max_load}")
+    print(f"max helper load: {max(histogram, default=0)}")
     if recoveries and successes == recoveries:
         print("result: ok")
         return 0

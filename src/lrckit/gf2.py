@@ -261,16 +261,15 @@ def _sum_table(rows: np.ndarray, most: int) -> tuple[np.ndarray, list[int]]:
 def iter_codeword_blocks(
     matrix: BitMatrix | np.ndarray, max_dim: int = ENUMERATION_CAP
 ) -> Iterator[np.ndarray]:
-    """Yield every codeword of the nullspace of H once, in blocks of at most
-    2**_BLOCK_BITS rows: all sums of the basis rows, by _sum_blocks. Raises
-    DimensionTooLarge past ``max_dim`` before enumerating anything."""
+    """Every codeword of the nullspace of H once, in blocks of at most
+    2**_BLOCK_BITS rows: all sums of the basis rows, by _sum_blocks. Checks
+    its arguments at the call, raising DimensionTooLarge past ``max_dim``."""
     max_dim = _integer(max_dim, "max_dim")
     basis = nullspace_basis(matrix).array
     dim, cols = basis.shape
     if dim > max_dim:
         raise DimensionTooLarge(f"code dimension {dim} exceeds cap {max_dim}")
-    for block in _sum_blocks(_pack_rows(basis), dim):
-        yield _unpack_rows(block, cols)
+    return (_unpack_rows(block, cols) for block in _sum_blocks(_pack_rows(basis), dim))
 
 
 def recovery_parity_word(

@@ -315,12 +315,13 @@ def exhaustive_expected_fraction(
     A union U of sets of v ranks wholly below v with probability 1/(|U| + 1),
     so by inclusion-exclusion and linearity, with U_J the union of J:
     E = (1/n) sum_v sum_{nonempty J in sets(v)} (-1)^(|J|+1) / (|U_J| + 1).
-    That is n(2^t - 1) unions, t the most sets of any vertex.
+    A repeated set adds no event, so sets(v) holds v's distinct sets: that is
+    n(2^t' - 1) unions, t' the most distinct sets of any vertex.
     """
     if graph.n != family.n:
         raise InvalidParams("graph and family disagree on n")
     signed: Counter[int] = Counter()
-    for sets in family.sets_by_coordinate:
+    for sets in map(set, family.sets_by_coordinate):
         for size in range(1, len(sets) + 1):
             for chosen in combinations(sets, size):
                 signed[len(frozenset().union(*chosen))] += 1 if size % 2 else -1

@@ -319,23 +319,24 @@ def discover_family(
 def _pick_sets(
     cands: tuple[frozenset[int], ...], t: int, x: int
 ) -> tuple[frozenset[int], ...] | None:
-    chosen: list[frozenset[int]] = []
-
-    def descend(start: int) -> bool:
-        if len(chosen) == t:
-            return True
-        for idx in range(start, len(cands)):
+    """The lexicographically first t candidates, by index, that pairwise meet
+    in at most x, one repeating only if |S| <= x; else None. One loop walks a
+    stack of the picked indices, at most one per distinct candidate."""
+    picked: list[int] = []
+    idx = 0
+    while len(picked) < t:
+        if idx < len(cands):
             s = cands[idx]
-            if all(len(s & c) <= x for c in chosen):
-                chosen.append(s)
-                # Reuse of cands[idx] stays legal only if |s & s| <= x.
-                nxt = idx if len(s) <= x else idx + 1
-                if descend(nxt):
-                    return True
-                chosen.pop()
-        return False
-
-    return tuple(chosen) if descend(0) else None
+            if all(len(s & cands[j]) <= x for j in picked):
+                # s meets itself in |s|; if that is at most x, s fills every
+                # slot left, and no pick that starts here is smaller.
+                picked += [idx] * (t - len(picked) if len(s) <= x else 1)
+            idx += 1
+        elif picked:
+            idx = picked.pop() + 1
+        else:
+            return None
+    return tuple(cands[j] for j in picked)
 
 
 class _Realized(NamedTuple):

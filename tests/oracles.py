@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, islice, permutations, product
+from itertools import combinations, combinations_with_replacement, islice, permutations, product
 from math import factorial, inf, sqrt
 
 import numpy as np
@@ -123,6 +123,17 @@ def candidates_by_brute_force(
             if i in support and 2 <= len(support) <= r + 1:
                 found.add(support - {i})
     return tuple(sorted(found, key=sorted))
+
+
+def pick_sets_by_enumeration(cands, t: int, x: int):
+    """The first t-tuple of candidates, in index order with repeats allowed,
+    whose every two entries, a repeated one with itself too, meet in at most
+    x: the lexicographically smallest legal pick, or None if there is none.
+    Walks every tuple up to it, so keep the candidates few and t small."""
+    for pick in combinations_with_replacement(cands, t):
+        if all(len(a & b) <= x for a, b in combinations(pick, 2)):
+            return pick
+    return None
 
 
 def low_weight_words_unpruned(matrix: BitMatrix, r: int, mode: str) -> set[bytes]:

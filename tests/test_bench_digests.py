@@ -1,7 +1,7 @@
-"""The benchmark's seed-0 outputs, pinned.
+"""The benchmark's seed-0 and seed-271828 outputs, pinned.
 
-One in-process, untraced round per lrcbench workload must finish without a
-failed operation and reproduce the digest of its outputs. Started with cold
+One in-process, untraced round per lrcbench workload and seed must finish
+without a failed operation and reproduce the digest of its outputs. Started with cold
 caches, it must eliminate each distinct matrix once: the nine study codes
 and the one repair-stream code. The traced study round, the one that also
 enumerates codewords and times the parity words, must reproduce the same
@@ -24,6 +24,12 @@ DIGESTS = {
     "repair-stream": "a5e282b3bf1260218e24b349041c0bbcaeb4f3be863f05b6037f477e6e44aa9a",
 }
 
+DIGESTS_271828 = {
+    "study": "1004db88abe10d207f121f0e7462c8c4be09499f353887321792be92ee77d5c2",
+    "coloring": "f74e1854615e859e01d0f513e8231e9d23cef1f870a28f01ac21e5bb2141378a",
+    "repair-stream": "33898fc81bd8fdf26b441a31b29f1b6c509200f92a04e4779b735d6deb5a010b",
+}
+
 ELIMINATIONS = {"study": 9, "coloring": 0, "repair-stream": 1}
 
 
@@ -40,8 +46,7 @@ def bench():
     return workloads, NullTracer, Tracer
 
 
-@pytest.mark.parametrize("workload", sorted(DIGESTS))
-def test_seed_zero_digest(bench, workload, monkeypatch):
+def _untraced_round(bench, workload, seed, monkeypatch):
     workloads, null_tracer, _ = bench
     eliminations = 0
     rref = gf2._rref
@@ -54,11 +59,21 @@ def test_seed_zero_digest(bench, workload, monkeypatch):
     monkeypatch.setattr(gf2, "_rref", counted)
     gf2._record.cache_clear()
     verifier._realizing_helpers.cache_clear()
-    result = workloads.WORKLOADS[workload](0, null_tracer())
+    result = workloads.WORKLOADS[workload](seed, null_tracer())
     assert eliminations == ELIMINATIONS[workload]
     assert result.failures == []
     assert result.attempted > 0
-    assert result.digest() == DIGESTS[workload]
+    return result.digest()
+
+
+@pytest.mark.parametrize("workload", sorted(DIGESTS))
+def test_seed_zero_digest(bench, workload, monkeypatch):
+    assert _untraced_round(bench, workload, 0, monkeypatch) == DIGESTS[workload]
+
+
+@pytest.mark.parametrize("workload", sorted(DIGESTS_271828))
+def test_seed_271828_digest(bench, workload, monkeypatch):
+    assert _untraced_round(bench, workload, 271828, monkeypatch) == DIGESTS_271828[workload]
 
 
 def test_traced_study_round(bench):

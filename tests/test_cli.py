@@ -321,6 +321,22 @@ def test_graph_accepts_the_widest_seed(tmp_path, capsys):
     assert f"trials=50 seed={2**128 - 1}" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "command, options, last",
+    [
+        ("verify", [], "result: ok"),
+        ("graph", ["--exhaustive"], "structural subset sweep: 20/20 passed"),
+        ("simulate", ["--samples", "1"], "result: ok"),
+    ],
+)
+def test_a_set_repeated_past_the_recursion_limit(tmp_path, capsys, command, options, last):
+    # Dimension 1: each coordinate's one candidate is a single column, so at
+    # x = 2 it repeats t = 1200 times, far past the recursion limit.
+    path = _write_matrix(tmp_path, [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]])
+    assert main([command, path, "2", "1200", "2", *options]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == last
+
+
 def test_simulate(tmp_path, capsys):
     path = _write_matrix(tmp_path, XLRC_221_COMPLEMENT)
     assert main(["simulate", path, "5", "2", "1", "--samples", "3", "--seed", "4"]) == 0

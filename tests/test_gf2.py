@@ -247,6 +247,16 @@ def test_enumeration_crosses_block_boundary():
     assert min_distance(h) == expected[1:].sum(axis=1).min()
 
 
+def test_iter_codeword_blocks_checks_at_the_call():
+    # Each raises when the iterator is made, before any next().
+    with pytest.raises(InvalidParams, match="^matrix entries must be 0 or 1$"):
+        iter_codeword_blocks([[0, 2]])
+    with pytest.raises(InvalidParams, match="^max_dim must be an integer$"):
+        iter_codeword_blocks(BitMatrix([[1, 1, 1]]), max_dim=None)
+    with pytest.raises(DimensionTooLarge, match="^code dimension 2 exceeds cap 1$"):
+        iter_codeword_blocks(BitMatrix([[1, 1, 1]]), max_dim=1)
+
+
 def test_min_distance_known_codes():
     assert min_distance(BitMatrix(WZL_42_INCIDENCE)) == 3
     assert min_distance(BitMatrix(np.eye(3, dtype=np.uint8))) == math.inf

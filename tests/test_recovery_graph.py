@@ -323,6 +323,27 @@ def test_exhaustive_expectation_tiny_families():
     assert exhaustive_expected_fraction(build_graph(swap), swap) == Fraction(1, 2)
 
 
+def test_exhaustive_expectation_sums_over_distinct_sets(monkeypatch):
+    # One set repeated t = 12 times per vertex is one event, so each vertex
+    # makes one subset, not 2**12 - 1, and E is the one-copy family's.
+    h = build_xlrc(2, 2, 1).H
+    repeated, once = discover_family(h, 5, 12, 5), discover_family(h, 5, 1, 5)
+    assert all(len(set(sets)) == 1 for sets in repeated.sets_by_coordinate)
+    subsets = 0
+    combinations = recovery_graph.combinations
+
+    def counted(*args):
+        nonlocal subsets
+        for chosen in combinations(*args):
+            subsets += 1
+            yield chosen
+
+    monkeypatch.setattr(recovery_graph, "combinations", counted)
+    value = exhaustive_expected_fraction(build_graph(repeated), repeated)
+    assert subsets == 12
+    assert value == exhaustive_expected_fraction(build_graph(once), once)
+
+
 def test_exhaustive_expectation_cap():
     # no cap on n: wzl(5,2) has n = 10 and two disjoint sets of size 3 per
     # coordinate, so every union has size 3j and E is exactly f(3, 2, 0)

@@ -35,6 +35,7 @@ from known_matrices import WZL_42_INCIDENCE, XLRC_221_COMPLEMENT
 from oracles import (
     candidates_by_brute_force,
     codewords_by_brute_force,
+    pick_sets_by_enumeration,
     recoverable_by_pairs,
     separated_by,
     span_by_brute_force,
@@ -301,6 +302,35 @@ def test_discover_family_reuses_sets_when_overlap_allows():
     family = discover_family(h, 1, 2, 1)
     assert family.sets_by_coordinate[0] == (frozenset({2}), frozenset({2}))
     assert verify_family(h, family, 1, 2, 1).ok
+
+
+def test_pick_sets_matches_enumeration():
+    # Seeded lists of at most 7 distinct sets over at most 8 elements, in
+    # no particular order.
+    rng = np.random.default_rng(33)
+    outcomes = set()
+    for _ in range(600):
+        ground = int(rng.integers(1, 9))
+        cands = []
+        for _ in range(int(rng.integers(0, 8))):
+            s = frozenset(int(e) + 1 for e in np.flatnonzero(rng.integers(0, 2, ground)))
+            if s and s not in cands:
+                cands.append(s)
+        t, x = int(rng.integers(1, 5)), int(rng.integers(0, 4))
+        got = verifier._pick_sets(tuple(cands), t, x)
+        assert got == pick_sets_by_enumeration(cands, t, x)
+        outcomes.add(None if got is None else len(set(got)) < t)
+    # Lists with no legal pick, and picks with and without a repeat.
+    assert outcomes == {None, True, False}
+
+
+def test_discover_family_repeats_a_set_past_the_recursion_limit():
+    # Every candidate has at most r = 5 = x members, so each coordinate's
+    # first candidate may fill all t slots, t far past the recursion limit.
+    h = build_xlrc(2, 2, 1).H
+    family = discover_family(h, 5, 1200, 5)
+    for i, sets in enumerate(family.sets_by_coordinate, start=1):
+        assert sets == (candidate_sets(h, i, 5, AUTO)[0],) * 1200
 
 
 def _with_first_coordinate(base, replacement):
