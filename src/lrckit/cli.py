@@ -284,7 +284,11 @@ def cmd_graph(args: argparse.Namespace) -> int:
         # an estimate of the exact value above; where E = f the 3-sigma
         # check fails on about 0.1% of seeds, so it does not decide
         stats = monte_carlo_colored_fraction(graph, family, args.trials, args.seed)
-        bound_ok = stats.mean >= float(threshold) - 3 * stats.stderr
+        try:
+            bound_ok = stats.mean >= float(threshold) - 3 * stats.stderr
+        except OverflowError:
+            # |f| is past a float and the mean lies in [0, 1]
+            bound_ok = threshold < 0
         acyclic = stats.trials - stats.walk_failures
         lines += [
             f"trials={stats.trials} seed={args.seed}",

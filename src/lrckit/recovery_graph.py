@@ -14,9 +14,9 @@ S + {v} once (see _colors); the walk check reads the members, not those
 maxima. Monte Carlo trial k ranks the vertices by
 ``trial_permutation(seed, k, n)``: the argsort of n keys drawn from a Philox
 stream keyed by the seed at counter k * ceil(n / 4), after Salmon, Moraes,
-Dror and Shaw (2011). Trials sit at fixed counter offsets, so a block of
-trials is one raw draw and one argsort, and results do not depend on the
-block size.
+Dror and Shaw (2011). Trial k's words follow trial k - 1's, so one call
+draws every block from one stream, and a block of trials is one raw draw and
+one sort; results do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ def build_graph(family: RecoveringFamily) -> RecoveryGraph:
 
 # (trial, vertex) ranks per Monte Carlo block; each kernel temporary holds at
 # most t entries per rank. Keeps peak memory flat in trials.
-_BLOCK_ENTRIES = 2**13
+_BLOCK_ENTRIES = 2**14
 
 
 _Table = namedtuple("_Table", "members closures which")
@@ -257,16 +257,27 @@ def _trial_ranks(seed: int, ks: range, n: int) -> np.ndarray:
     """Rows of ranks for a range of trials. Trial k takes the first n of the
     4m words from ``Philox(key=seed, counter=k*m).random_raw(4*m)``,
     m = ceil(n / 4), so consecutive trials are consecutive words and a block
-    is one draw. Each word's low bits are replaced by its vertex index, so
-    the n keys are distinct and every sort orders them alike; the row is
-    their argsort plus one."""
+    is one draw (see _draw_ranks)."""
+    stream = np.random.Philox(key=seed, counter=ks.start * -(-n // 4))
+    return _draw_ranks(stream, len(ks), n)
+
+
+def _draw_ranks(stream: np.random.Philox, rows: int, n: int) -> np.ndarray:
+    """The next ``rows`` trials' ranks from a stream: each trial reads 4m
+    words, m = ceil(n / 4), and keys its vertices by the first n. Each key's
+    low bits are replaced by its vertex index, so the n keys are distinct and
+    every sort orders them alike, and the sorted keys' low bits are the
+    argsort; the row is that argsort plus one."""
     m = -(-n // 4)
-    stream = np.random.Philox(key=seed, counter=ks.start * m)
-    keys = stream.random_raw(len(ks) * 4 * m).reshape(len(ks), 4 * m)[:, :n]
+    keys = stream.random_raw(rows * 4 * m).reshape(rows, 4 * m)[:, :n]
     low = max(1, (n - 1).bit_length())
     keys &= np.uint64(2**64 - 2**low)
     keys |= np.arange(n, dtype=np.uint64)
-    return keys.argsort(axis=1) + 1
+    keys.sort(axis=1)
+    keys &= np.uint64(2**low - 1)
+    ranks = keys.view(np.int64)
+    ranks += 1
+    return ranks
 
 
 def monte_carlo_colored_fraction(
@@ -280,8 +291,9 @@ def monte_carlo_colored_fraction(
     Every trial also verifies that monochromatic colored walks strictly
     descend the ranking, hence are acyclic. Trial k ranks the vertices by
     ``trial_permutation(seed, k, n)``. Each block of _BLOCK_ENTRIES // n
-    trials is drawn, colored and walk-checked at once; results depend only
-    on (seed, trials), never on scheduling or the block size.
+    trials is drawn from the call's one stream, colored and walk-checked at
+    once; results depend only on (seed, trials), never on scheduling or the
+    block size.
     """
     if graph.n != family.n:
         raise InvalidParams("graph and family disagree on n")
@@ -293,8 +305,9 @@ def monte_carlo_colored_fraction(
     counts = np.empty(trials, dtype=np.int64)
     walk_failures = 0
     block = max(1, _BLOCK_ENTRIES // n)
+    stream = np.random.Philox(key=seed, counter=0)
     for first in range(0, trials, block):
-        ranks = _trial_ranks(seed, range(first, min(first + block, trials)), n)
+        ranks = _draw_ranks(stream, min(block, trials - first), n)
         colors = _colors(table, ranks)
         counts[first : first + len(ranks)] = np.count_nonzero(colors, axis=1)
         walk_failures += int(np.count_nonzero(~_walks_descend(table, ranks, colors)))

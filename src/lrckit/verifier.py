@@ -9,6 +9,7 @@ pairwise intersections of size at most x.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
@@ -408,6 +409,25 @@ def _realizing_helpers(h: BitMatrix, family: RecoveringFamily) -> _Realized:
     return _Realized(columns, tuple(cuts), spans, tuple(loads), pairs, tuple(unrealized))
 
 
+def _overlap_failures(sets: tuple[frozenset[int], ...], x: int) -> list[str]:
+    """A reason for each pair of a coordinate's sets, by 1-based index, that
+    meet in more than x. Each pair of distinct sets is intersected once, and
+    a repeated set meets each of its copies in all of itself."""
+    at: dict[frozenset[int], list[int]] = {}
+    for j, s in enumerate(sets, start=1):
+        at.setdefault(s, []).append(j)
+    groups = list(at.items())
+    reasons = []
+    for g, (s, js) in enumerate(groups):
+        meets = [(len(s), combinations(js, 2))]
+        meets += [(len(s & u), product(js, ks)) for u, ks in groups[g + 1 :]]
+        for inter, pairs in meets:
+            if inter > x:
+                reason = f"intersect in {inter} > x={x}"
+                reasons += [f"sets {min(p)} and {max(p)} {reason}" for p in pairs]
+    return reasons
+
+
 def verify_family(
     h: BitMatrix | np.ndarray,
     family: RecoveringFamily,
@@ -447,15 +467,15 @@ def verify_family(
         for j, s in enumerate(sets, start=1):
             if len(s) > r:
                 failures.append((i, f"set {j} has size {len(s)} > r={r}"))
-        max_int = 0
-        for a, b in combinations(range(len(sets)), 2):
-            inter = len(sets[a] & sets[b])
-            max_int = max(max_int, inter)
-            if inter > x:
-                failures.append(
-                    (i, f"sets {a + 1} and {b + 1} intersect in {inter} > x={x}")
-                )
-        overlaps.append(max_int)
+        # Distinct sets are intersected once, so t copies of one set cost O(t).
+        distinct = set(sets)
+        inters = [len(s & u) for s, u in combinations(distinct, 2)]
+        if len(distinct) < len(sets):
+            # a repeated set meets each of its copies in all of itself
+            inters += [len(s) for s, copies in Counter(sets).items() if copies > 1]
+        overlaps.append(max(inters, default=0))
+        if overlaps[-1] > x:
+            failures += [(i, reason) for reason in _overlap_failures(sets, x)]
     failures += [(i, f"set {j} admits no parity word through {i}") for i, j in unrealized]
     ordered = tuple(sorted(failures))
     return VerificationReport(

@@ -1,7 +1,7 @@
 """The summary of tools/ab_pairs.py on canned run results: each side's
 median and quartiles, the change's wins in the direction BENCHMARK.json
-gives, the bound check, the alternating run order, the digest check and the
-exit status."""
+gives, the bound check, the alternating run order, the digest check, the
+exit status and the A/A pairs of each side against its copy."""
 
 import sys
 from pathlib import Path
@@ -130,3 +130,50 @@ def test_a_pair_whose_digests_differ_fails(ab_pairs, monkeypatch, capsys, differ
     change = "d0 d1" if differs == 1 else "d0"
     assert "parent digests: d0\n" in out
     assert f"change digests: {change}\n" in out
+
+
+@pytest.mark.parametrize("differs", [None, "q", "d"])
+def test_each_side_gets_its_own_a_a_pair(ab_pairs, monkeypatch, capsys, differs):
+    # --aa-change adds a pair of the change against its copy d after the
+    # parent's A/A pair; the copy ``differs`` gives another digest.
+    calls = []
+
+    def canned(checkout, workload, seed, seconds):
+        calls.append(str(checkout))
+        cpu = {"p": 1.0, "q": 1.1, "c": 0.5, "d": 0.6}[str(checkout)]
+        return _result(cpu, 10.0, digest="d1" if str(checkout) == differs else "d0")
+
+    monkeypatch.setattr(ab_pairs, "end_to_end_metrics", lambda: METRICS)
+    monkeypatch.setattr(ab_pairs, "run_once", canned)
+    argv = ["--parent", "p", "--change", "c", "--workload", "study", "--pairs", "2"]
+    assert ab_pairs.main(argv + ["--aa", "q", "--aa-change", "d"]) == (0 if differs is None else 1)
+    assert calls == ["p", "c", "c", "p", "p", "q", "c", "d"]
+    out = capsys.readouterr().out
+    assert "pair 2 parent " in out and "pair 2 copy " in out
+    assert "pair 3 change " in out and "pair 3 copy " in out
+    parent_aa = out.split("A/A pair, copy against parent:\n")[1].splitlines()
+    change_aa = out.split("A/A pair, copy against change:\n")[1].splitlines()
+    assert parent_aa[0] == "cpu_s             x1.100"
+    assert change_aa[0] == "cpu_s             x1.200"
+    if differs == "q":
+        assert "pair 2 DIGEST DIFFERS: parent d0 copy d1\n" in out
+    elif differs == "d":
+        assert "pair 3 DIGEST DIFFERS: change d0 copy d1\n" in out
+    assert out.count("DIGEST DIFFERS") == (differs is not None)
+
+
+def test_the_change_a_a_pair_runs_without_the_parents(ab_pairs, monkeypatch, capsys):
+    calls = []
+
+    def canned(checkout, workload, seed, seconds):
+        calls.append(str(checkout))
+        return _result(1.0, 10.0)
+
+    monkeypatch.setattr(ab_pairs, "end_to_end_metrics", lambda: METRICS)
+    monkeypatch.setattr(ab_pairs, "run_once", canned)
+    argv = ["--parent", "p", "--change", "c", "--workload", "study", "--pairs", "1"]
+    assert ab_pairs.main(argv + ["--aa-change", "d"]) == 0
+    assert calls == ["p", "c", "c", "d"]
+    out = capsys.readouterr().out
+    assert "A/A pair, copy against parent" not in out
+    assert "pair 1 change " in out and "A/A pair, copy against change:\n" in out

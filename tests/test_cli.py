@@ -337,6 +337,21 @@ def test_a_set_repeated_past_the_recursion_limit(tmp_path, capsys, command, opti
     assert capsys.readouterr().out.splitlines()[-1] == last
 
 
+def test_graph_where_f_is_past_a_float(tmp_path, capsys):
+    # f(2,1200,2) is about -2.86e360, past a float: its sign decides the
+    # 3-sigma line, since the mean lies in [0, 1].
+    path = _write_matrix(tmp_path, [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]])
+    assert main(["graph", path, "2", "1200", "2", "--trials", "100"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    out = captured.out.splitlines()
+    assert "mean >= f - 3*stderr: PASS" in out
+    assert out[-2:] == [
+        "monochromatic walks acyclic: 100/100",
+        "structural subset sweep: 20/20 passed",
+    ]
+
+
 def test_simulate(tmp_path, capsys):
     path = _write_matrix(tmp_path, XLRC_221_COMPLEMENT)
     assert main(["simulate", path, "5", "2", "1", "--samples", "3", "--seed", "4"]) == 0

@@ -33,7 +33,7 @@ The matrix file format: render_matrix writes the header and one line of
 digits per row, parse_matrix reads it back, and a header line that is not
 two positive ASCII integers is refused on line 1 whatever follows it.
 
-Monte Carlo rank blocks, one Philox draw and one argsort per block, against
+Monte Carlo rank blocks, one Philox draw and one sort per block, against
 the oracle that draws each trial from a fresh Philox and ranks it with
 Python's sort. Seeds span the 128-bit key, n includes both sides of each
 multiple of 4 (a trial's words are cut from 4 * ceil(n / 4)), and blocks

@@ -656,6 +656,25 @@ def test_monte_carlo_does_not_depend_on_the_block_size(monkeypatch, family, tria
         assert run() == expected, entries
 
 
+@pytest.mark.parametrize("entries", [1, 7, RAGGED_224.n, recovery_graph._BLOCK_ENTRIES])
+def test_monte_carlo_builds_one_philox_per_call(monkeypatch, entries):
+    # 60 trials span many blocks at every size but the default
+    family = RAGGED_224
+    graph = build_graph(family)
+    expected = monte_carlo_colored_fraction(graph, family, 60, 5)
+    built = []
+    philox = np.random.Philox
+
+    def counted(*args, **kwargs):
+        built.append(kwargs)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(recovery_graph, "_BLOCK_ENTRIES", entries)
+    monkeypatch.setattr(np.random, "Philox", counted)
+    assert monte_carlo_colored_fraction(graph, family, 60, 5) == expected
+    assert built == [{"key": 5, "counter": 0}]
+
+
 def test_monte_carlo_memory_is_flat_in_trials():
     family = canonical_family(build_xlrc(5, 3, 3))
     graph = build_graph(family)

@@ -387,6 +387,40 @@ def test_verify_family_overlaps_are_the_largest_pairwise_intersection(h):
         assert verify_family(h, family, r, t, x).overlaps == brute
 
 
+# Sets of sizes 1, 2, 3 and 5 repeated, interleaved with other sets.
+REPEATS = _family(
+    6,
+    [
+        [{2, 3}, {2, 3}, {4}, {2, 3}, {4, 5, 6}],
+        [{1}, {1}, {1}],
+        [{1, 2, 4}, {5}, {1, 2, 4}, {1, 2, 5}],
+        [],
+        [{6}],
+        [{1, 2, 3, 4, 5}] * 3 + [{1}],
+    ],
+)
+
+
+@pytest.mark.parametrize("x", [0, 1, 2, 3, 5])
+def test_verify_family_overlaps_match_every_pair_of_repeated_sets(x):
+    """Against comparing every pair of positions, repeats included, with
+    repeated sets both within x and past it."""
+    h = BitMatrix(np.ones((1, 6), dtype=np.uint8))
+    overlaps, failures = [], []
+    for i, sets in enumerate(REPEATS.sets_by_coordinate, start=1):
+        inters = [(a, b, len(sets[a] & sets[b])) for a, b in combinations(range(len(sets)), 2)]
+        overlaps.append(max((inter for _, _, inter in inters), default=0))
+        failures += [
+            (i, f"sets {a + 1} and {b + 1} intersect in {inter} > x={x}")
+            for a, b, inter in inters
+            if inter > x
+        ]
+    report = verify_family(h, REPEATS, 5, 2, x)
+    assert report.overlaps == tuple(overlaps) == (2, 1, 3, 0, 0, 5)
+    assert [f for f in report.failures if "intersect" in f[1]] == sorted(failures)
+    assert len(failures) == {0: 17, 1: 9, 2: 4, 3: 3, 5: 0}[x]
+
+
 def test_verify_family_flags_unrecoverable_set():
     h = BitMatrix(WZL_42_INCIDENCE)
     base = discover_family(h, 2, 2, 0)

@@ -1,15 +1,18 @@
 """Alternating benchmark pairs between two checkouts.
 
     python3 tools/ab_pairs.py --parent DIR --change DIR --workload W
-                              [--seed N] [--seconds S] [--pairs P] [--aa DIR]
+                              [--seed N] [--seconds S] [--pairs P]
+                              [--aa DIR] [--aa-change DIR]
 
 Each pair runs ``lrcbench/run.py --workload W --seed N --seconds S --trace 0``
 once in the parent checkout and once in the change checkout, each from its
 own directory, alternating which runs first (ABBA). ``--aa DIR``, a second
 copy of the parent, adds one A/A pair after them: the parent against that
-copy, which shows how far identical code moves between runs. The final JSON
-line of every run is read and printed, with the output digest of its
-``record`` line.
+copy, which shows how far identical code moves between runs.
+``--aa-change DIR``, a second copy of the change, adds the same pair for
+the change, so that a shift such as ``peak_rss_mb``'s can be told apart
+from where a checkout sits. The final JSON line of every run is read and
+printed, with the output digest of its ``record`` line.
 
 For each end-to-end metric that BENCHMARK.json lists, the summary gives
 each side's median and quartiles, in how many pairs the change reads
@@ -97,6 +100,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seconds", type=int, default=4)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--aa", type=Path)
+    parser.add_argument("--aa-change", type=Path)
     args = parser.parse_args(argv)
     metrics = end_to_end_metrics()
     names = [m["name"] for m in metrics]
@@ -111,11 +115,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"pair {pair} {label:<6} correct={result['correct']} {values}", flush=True)
         return result
 
-    def same_digest(pair: int, parent: dict, other: dict, label: str) -> bool:
-        if parent["digest"] == other["digest"]:
+    def same_digest(pair: int, first: dict, other: dict, labels=("parent", "change")) -> bool:
+        if first["digest"] == other["digest"]:
             return True
+        a, b = labels
         print(
-            f"pair {pair} DIGEST DIFFERS: parent {parent['digest']} {label} {other['digest']}",
+            f"pair {pair} DIGEST DIFFERS: {a} {first['digest']} {b} {other['digest']}",
             flush=True,
         )
         return False
@@ -125,18 +130,22 @@ def main(argv: list[str] | None = None) -> int:
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         results = {label: run(label, sides[label], k) for label in order}
         pairs.append((results["parent"], results["change"]))
-        correct = same_digest(k, results["parent"], results["change"], "change") and correct
+        correct = same_digest(k, results["parent"], results["change"]) and correct
     print(f"{args.workload} seed {args.seed}, {args.pairs} pairs, medians [quartiles]:")
     print("\n".join(summarize(metrics, pairs)))
     for label, side in (("parent", 0), ("change", 1)):
         print(f"{label} digests: {' '.join(sorted({p[side]['digest'] for p in pairs}))}")
-    if args.aa is not None:
-        same = (run("parent", args.parent, args.pairs), run("copy", args.aa, args.pairs))
-        correct = same_digest(args.pairs, *same, "copy") and correct
-        print("A/A pair, copy against parent:")
+    pair = args.pairs
+    for label, copy in (("parent", args.aa), ("change", args.aa_change)):
+        if copy is None:
+            continue
+        same = (run(label, sides[label], pair), run("copy", copy, pair))
+        correct = same_digest(pair, *same, (label, "copy")) and correct
+        print(f"A/A pair, copy against {label}:")
         for name in names:
             a, b = (r["metrics"][name]["value"] for r in same)
             print(f"{name:<17} x{b / a if a else float('nan'):.3f}")
+        pair += 1
     return 0 if correct else 1
 
 
